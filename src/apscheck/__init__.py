@@ -10,7 +10,6 @@ from .errors import (
     CheckerError,
     ConfigurationError,
     DomainError,
-    InternalConsistencyError,
     LimitExceededError,
     ModelIntegrityError,
     ReplayDocumentError,
@@ -57,7 +56,6 @@ __all__ = [
     "CheckerError",
     "ConfigurationError",
     "DomainError",
-    "InternalConsistencyError",
     "LimitExceededError",
     "ModelInfo",
     "ModelIntegrityError",

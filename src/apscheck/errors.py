@@ -19,10 +19,6 @@ class ModelIntegrityError(CheckerError):
     """A model produced a successor state that violates its own declarations."""
 
 
-class InternalConsistencyError(CheckerError):
-    """The exploration bookkeeping contradicts itself; indicates a kernel bug."""
-
-
 class LimitExceededError(CheckerError):
     """Exploration hit the state limit before exhausting the frontier.
 

@@ -2,27 +2,31 @@
 
 The kernel is model-agnostic: a model contributes variable declarations,
 initial states, a deterministic successor function and named invariant
-predicates, packaged as a :class:`TransitionSystem`. :func:`check` explores
-every reachable state in a fixed order, deduplicating by canonical byte
-encoding, and either proves all invariants or reconstructs a shortest
-counterexample trace.
+predicates, packaged as a :class:`TransitionSystem`. States are canonical
+byte encodings throughout exploration. :func:`check` explores every
+reachable state in a fixed order, deduplicating on the full encoding, and
+either proves all invariants or reconstructs a shortest counterexample
+trace of decoded :class:`State` values.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     ConfigurationError,
     DomainError,
-    InternalConsistencyError,
     LimitExceededError,
     ModelIntegrityError,
 )
+
+# One byte per slot holds the value's domain code.
+MAX_DOMAIN_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -31,20 +35,40 @@ class VariableDecl:
 
     Keys are typically app identifiers, but any fixed, ordered index set
     works (the custom-permission model also indexes by permission name and
-    by app:name pairs). Domain order fixes the byte code of each value.
+    by app:name pairs). Domain order fixes the byte code of each value, so
+    a domain holds at most :data:`MAX_DOMAIN_SIZE` values.
     """
 
     name: str
     keys: tuple[str, ...]
     domain: tuple
 
+    def __post_init__(self):
+        if len(self.domain) > MAX_DOMAIN_SIZE:
+            raise ConfigurationError(
+                f"variable {self.name!r} has {len(self.domain)} domain values; "
+                f"the one-byte-per-slot state encoding holds at most "
+                f"{MAX_DOMAIN_SIZE}"
+            )
+
+
+def variable_slices(variables: Sequence[VariableDecl]) -> tuple[slice, ...]:
+    """Where each variable's slots sit in the canonical encoding, in
+    declaration order: one byte per key, keys in declared key order."""
+    slices = []
+    pos = 0
+    for decl in variables:
+        slices.append(slice(pos, pos + len(decl.keys)))
+        pos += len(decl.keys)
+    return tuple(slices)
+
 
 class State:
     """A total assignment of every declared variable, canonically encoded.
 
-    Two states are equal exactly when their encodings are byte-identical;
-    the full encoding (not a hash fingerprint) is the deduplication key.
-    `assignment` keeps the decoded values in declaration order so traces
+    Two states are equal exactly when their encodings are byte-identical.
+    Exploration works on the encodings alone; a `State` adds the decoded
+    values in declaration order so that trace steps and replayed documents
     stay renderable without the producing system at hand.
     """
 
@@ -113,32 +137,35 @@ def canonical_encode(variables: Sequence[VariableDecl],
                     f"assignment for {decl.name!r} is missing key {key!r}"
                 ) from None
             try:
-                codes.append(decl.domain.index(value))
+                code = decl.domain.index(value)
             except ValueError:
                 raise DomainError(
                     f"value {value!r} for {decl.name}[{key}] is outside the "
                     f"declared domain {decl.domain!r}"
                 ) from None
+            codes.append(code)
             items.append((key, value))
         decoded.append((decl.name, tuple(items)))
     return State(bytes(codes), tuple(decoded))
 
 
-SuccessorFn = Callable[[State], "list[tuple[ActionLabel, State]]"]
-InvariantFn = Callable[[State], bool]
+SuccessorFn = Callable[[bytes], "list[tuple[ActionLabel, bytes]]"]
+InvariantFn = Callable[[bytes], bool]
 
 
 @dataclass(frozen=True)
 class TransitionSystem:
     """A model's contract with the kernel.
 
-    `successors` must be deterministic: the same state yields the identical
-    ordered list on every call. Invariants are checked in list order.
+    States are canonical encodings (see :func:`canonical_encode`).
+    `successors` must be deterministic: the same encoding yields the
+    identical ordered list of (label, successor encoding) pairs on every
+    call. Invariants take an encoding and are checked in list order.
     """
 
     name: str
     variables: tuple[VariableDecl, ...]
-    initial_states: tuple[State, ...]
+    initial_states: tuple[bytes, ...]
     successors: SuccessorFn
     invariants: tuple[tuple[str, InvariantFn], ...] = ()
 
@@ -160,31 +187,44 @@ class TransitionSystem:
             raise ConfigurationError(
                 f"model {self.name!r} has no invariant named {missing[0]!r}"
             )
-        selected = tuple((n, table[n]) for n in names)
-        return TransitionSystem(self.name, self.variables, self.initial_states,
-                                self.successors, selected)
+        return replace(self, invariants=tuple((n, table[n]) for n in names))
 
     def encode(self, assignment: Mapping[str, Mapping[str, object]]) -> State:
         return canonical_encode(self.variables, assignment)
 
-    def _encoding_length(self) -> int:
-        return sum(len(d.keys) for d in self.variables)
+    def decode(self, encoding: bytes) -> State:
+        """The :class:`State` whose encoding is `encoding`, which must be
+        valid for these declarations."""
+        return State(encoding, tuple(
+            (decl.name, tuple(zip(decl.keys, (decl.domain[c] for c in encoding[where]))))
+            for decl, where in self._layout))
 
-    def _validate_state(self, state: State, context: str) -> None:
-        if len(state.encoding) != self._encoding_length():
-            raise ModelIntegrityError(
-                f"{context}: state encoding has {len(state.encoding)} slots, "
-                f"declarations require {self._encoding_length()}"
-            )
-        pos = 0
-        for decl in self.variables:
-            for key in decl.keys:
-                if state.encoding[pos] >= len(decl.domain):
-                    raise ModelIntegrityError(
-                        f"{context}: {decl.name}[{key}] holds code "
-                        f"{state.encoding[pos]}, outside its declared domain"
-                    )
-                pos += 1
+    @cached_property
+    def _layout(self) -> tuple[tuple[VariableDecl, slice], ...]:
+        return tuple(zip(self.variables, variable_slices(self.variables)))
+
+    def _validate_state(self, encoding: bytes, label: Optional[ActionLabel]) -> None:
+        """Raise :class:`ModelIntegrityError`, naming the action that made
+        `encoding` (None for an initial state), unless it is a well-formed
+        encoding for these declarations."""
+        layout = self._layout
+        length = layout[-1][1].stop if layout else 0
+        problem = None
+        if len(encoding) != length:
+            problem = (f"state encoding has {len(encoding)} slots, "
+                       f"declarations require {length}")
+        else:
+            for decl, where in layout:
+                if max(encoding[where], default=0) >= len(decl.domain):
+                    key, code = next((k, c) for k, c in zip(decl.keys, encoding[where])
+                                     if c >= len(decl.domain))
+                    problem = (f"{decl.name}[{key}] holds code {code}, "
+                               "outside its declared domain")
+                    break
+        if problem is not None:
+            context = ("initial state" if label is None
+                       else f"successor via {label.render()}")
+            raise ModelIntegrityError(f"{context}: {problem}")
 
 
 class TraceStep(NamedTuple):
@@ -244,35 +284,24 @@ class CheckReport:
         return self.trace.violated_invariant if self.trace else None
 
 
-def reconstruct_trace(predecessors: Mapping[State, Optional[tuple[State, ActionLabel]]],
-                      violating: State, invariant_name: str) -> Trace:
-    """Walk the predecessor tree from `violating` back to its root.
+def reconstruct_trace(system: TransitionSystem, states: Sequence[bytes],
+                      parents: Sequence[int],
+                      labels: Sequence[Optional[ActionLabel]],
+                      violating: int, invariant_name: str) -> Trace:
+    """Walk the parent arrays from state number `violating` back to its root.
 
-    `predecessors` maps every discovered state to its (parent, label) edge,
-    with initial states mapped to None. Raises
-    :class:`InternalConsistencyError` if `violating` was never recorded or
-    the map is not a tree.
+    `states[i]` is the encoding of the i-th discovered state, `parents[i]`
+    the number of the state it was first reached from (-1 for an initial
+    state) and `labels[i]` the action taken (None for an initial state).
+    A parent is always discovered before its child, so the walk ends.
     """
-    if violating not in predecessors:
-        raise InternalConsistencyError(
-            "violating state is absent from the predecessor map"
-        )
     steps: list[TraceStep] = []
-    current = violating
-    for _ in range(len(predecessors) + 1):
-        entry = predecessors[current]
-        if entry is None:
-            steps.append(TraceStep(current, None))
-            steps.reverse()
-            return Trace(tuple(steps), invariant_name)
-        parent, label = entry
-        steps.append(TraceStep(current, label))
-        if parent not in predecessors:
-            raise InternalConsistencyError(
-                "predecessor map references an unrecorded state"
-            )
-        current = parent
-    raise InternalConsistencyError("predecessor map contains a cycle")
+    index = violating
+    while index >= 0:
+        steps.append(TraceStep(system.decode(states[index]), labels[index]))
+        index = parents[index]
+    steps.reverse()
+    return Trace(tuple(steps), invariant_name)
 
 
 def check(system: TransitionSystem,
@@ -284,7 +313,9 @@ def check(system: TransitionSystem,
     found, and hence the reported trace, is the same on every run. Each
     state's invariants are evaluated once, at dequeue; the first failing
     invariant in list order names the violation, and the reconstructed trace
-    is shortest by the BFS discovery guarantee.
+    is shortest by the BFS discovery guarantee. Only states not seen before
+    are validated against the declarations: an encoding equal to a visited
+    state is valid by construction.
     """
     opts = options or CheckOptions()
     if opts.max_states < 1:
@@ -293,18 +324,23 @@ def check(system: TransitionSystem,
         raise ConfigurationError(f"model {system.name!r} declares no initial state")
 
     active = system.invariants if opts.check_invariants else ()
+    successors = system.successors
+    max_states = opts.max_states
     started = time.perf_counter()
 
-    depth_of: dict[State, int] = {}
-    predecessors: dict[State, Optional[tuple[State, ActionLabel]]] = {}
-    frontier: deque[State] = deque()
+    # State number i is states[i]; states are expanded in number order, so
+    # the frontier is states[head:] and depths never decrease along it.
+    seen: set[bytes] = set()
+    states: list[bytes] = []
+    parents = array("q")
+    labels: list[Optional[ActionLabel]] = []
     transitions = 0
     diameter = 0
 
     def report(verdict: Verdict, trace: Optional[Trace] = None) -> CheckReport:
         return CheckReport(
             verdict=verdict,
-            distinct_states=len(depth_of),
+            distinct_states=len(states),
             transitions=transitions,
             diameter=diameter,
             elapsed=time.perf_counter() - started,
@@ -313,34 +349,41 @@ def check(system: TransitionSystem,
         )
 
     for state in system.initial_states:
-        system._validate_state(state, "initial state")
-        if state in depth_of:
+        system._validate_state(state, None)
+        if state in seen:
             continue
-        if len(depth_of) >= opts.max_states:
+        if len(states) >= max_states:
             return report(Verdict.LIMIT_EXCEEDED)
-        depth_of[state] = 0
-        predecessors[state] = None
-        frontier.append(state)
+        seen.add(state)
+        states.append(state)
+        parents.append(-1)
+        labels.append(None)
 
-    while frontier:
-        state = frontier.popleft()
+    depth = 0
+    level_end = len(states)
+    head = 0
+    while head < len(states):
+        if head == level_end:
+            depth += 1
+            level_end = len(states)
+        state = states[head]
         for name, predicate in active:
             if not predicate(state):
-                trace = reconstruct_trace(predecessors, state, name)
+                trace = reconstruct_trace(system, states, parents, labels, head, name)
                 return report(Verdict.VIOLATION, trace)
-        depth = depth_of[state]
-        for label, successor in system.successors(state):
+        for label, successor in successors(state):
             transitions += 1
-            system._validate_state(successor, f"successor via {label.render()}")
-            if successor in depth_of:
+            if successor in seen:
                 continue
-            if len(depth_of) >= opts.max_states:
+            system._validate_state(successor, label)
+            if len(states) >= max_states:
                 return report(Verdict.LIMIT_EXCEEDED)
-            depth_of[successor] = depth + 1
-            if depth + 1 > diameter:
-                diameter = depth + 1
-            predecessors[successor] = (state, label)
-            frontier.append(successor)
+            seen.add(successor)
+            states.append(successor)
+            parents.append(head)
+            labels.append(label)
+            diameter = depth + 1
+        head += 1
 
     return report(Verdict.PASS)
 

@@ -16,11 +16,9 @@ variant ships here; detecting the flaw is the point.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 from ..errors import ConfigurationError
-from ..kernel import (ActionLabel, State, TransitionSystem, VariableDecl,
-                      canonical_encode)
+from ..kernel import (ActionLabel, TransitionSystem, VariableDecl,
+                      canonical_encode, variable_slices)
 
 NONE = ""
 NOR = "NOR"
@@ -30,78 +28,14 @@ PERM_LEVELS = (NONE, NOR, DAN)
 MODEL_NAME = "aps_cs1"
 INVARIANT_NAMES = ("ApsTypeOK", "ApsConsistent")
 
-
-class Cs1State(NamedTuple):
-    """Per-app values in app-index order (app i is rendered as a{i+1})."""
-
-    asked: tuple[str, ...]
-    granted: tuple[str, ...]
-    installed: tuple[int, ...]
+# Domain codes of the levels, and the one-byte slot values actions write.
+_NOR_CODE = PERM_LEVELS.index(NOR)
+_DAN_CODE = PERM_LEVELS.index(DAN)
+_NOR, _DAN, _INSTALLED = bytes([_NOR_CODE]), bytes([_DAN_CODE]), bytes([1])
 
 
 def app_ids(app_count: int) -> tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(app_count))
-
-
-def initial_state(app_count: int) -> Cs1State:
-    """All apps start unasked, ungranted and uninstalled."""
-    if app_count < 1:
-        raise ConfigurationError("aps_cs1 needs at least one app")
-    return Cs1State((NONE,) * app_count, (NONE,) * app_count, (0,) * app_count)
-
-
-def install_order(s: Cs1State, r: int) -> Optional[Cs1State]:
-    # Guard quantifies over every app: only the very first install is possible.
-    if any(v != 0 for v in s.installed):
-        return None
-    return s._replace(installed=_put(s.installed, r, 1))
-
-
-def ask(s: Cs1State, r: int, p: str) -> Cs1State:
-    if p not in (NOR, DAN):
-        raise ValueError(f"ask level must be NOR or DAN, not {p!r}")
-    return s._replace(asked=_put(s.asked, r, p))
-
-
-def grant(s: Cs1State, r: int) -> Optional[Cs1State]:
-    # Disjunctive guard plus unconditional DAN effect; kept literal.
-    if s.asked[r] != NOR and s.installed[r] != 1:
-        return None
-    return s._replace(granted=_put(s.granted, r, DAN))
-
-
-def type_ok(s: Cs1State) -> bool:
-    return (all(v in PERM_LEVELS for v in s.asked)
-            and all(v in PERM_LEVELS for v in s.granted)
-            and all(v in (0, 1) for v in s.installed))
-
-
-def consistent(s: Cs1State) -> bool:
-    """No app that asked for NOR may hold DAN."""
-    return not any(a == NOR and g == DAN
-                   for a, g in zip(s.asked, s.granted))
-
-
-def successors(s: Cs1State) -> list[tuple[ActionLabel, Cs1State]]:
-    """Enabled actions per app ascending: InstallOrder, Ask NOR, Ask DAN,
-    Grant. Self-loop successors (re-asking the same level, re-granting) are
-    emitted; the kernel's dedup drops them from the frontier."""
-    ids = app_ids(len(s.asked))
-    out: list[tuple[ActionLabel, Cs1State]] = []
-    for r, rid in enumerate(ids):
-        installed = install_order(s, r)
-        if installed is not None:
-            out.append((ActionLabel("InstallOrder", (("r", rid),)), installed))
-        for p in (NOR, DAN):
-            out.append((ActionLabel("Ask", (("r", rid), ("p", p))), ask(s, r, p)))
-        granted = grant(s, r)
-        if granted is not None:
-            out.append((ActionLabel("Grant", (("r", rid),)), granted))
-    return out
-
-
-def _put(values: tuple, r: int, v) -> tuple:
-    return values[:r] + (v,) + values[r + 1:]
 
 
 def variable_decls(app_count: int) -> tuple[VariableDecl, ...]:
@@ -114,32 +48,60 @@ def variable_decls(app_count: int) -> tuple[VariableDecl, ...]:
 
 
 def build_system(app_count: int) -> TransitionSystem:
-    """Package the machine as a kernel TransitionSystem."""
+    """Package the machine as a kernel TransitionSystem over byte-encoded
+    states: one slot per app in each of the three variables."""
+    if app_count < 1:
+        raise ConfigurationError("aps_cs1 needs at least one app")
     decls = variable_decls(app_count)
     ids = app_ids(app_count)
+    asked, granted, installed = variable_slices(decls)
+    initial = canonical_encode(decls, {
+        "askedPerms": dict.fromkeys(ids, NONE),
+        "grantedPerms": dict.fromkeys(ids, NONE),
+        "alreadyInstalled": dict.fromkeys(ids, 0),
+    }).encoding
+    nothing_installed = initial[installed]
+    # Per app: its asked, granted and installed slots, and the labels of
+    # its four actions.
+    actions = tuple(
+        (asked.start + r, granted.start + r, installed.start + r,
+         ActionLabel("InstallOrder", (("r", rid),)),
+         ActionLabel("Ask", (("r", rid), ("p", NOR))),
+         ActionLabel("Ask", (("r", rid), ("p", DAN))),
+         ActionLabel("Grant", (("r", rid),)))
+        for r, rid in enumerate(ids))
 
-    def encode(s: Cs1State) -> State:
-        return canonical_encode(decls, {
-            "askedPerms": dict(zip(ids, s.asked)),
-            "grantedPerms": dict(zip(ids, s.granted)),
-            "alreadyInstalled": dict(zip(ids, s.installed)),
-        })
+    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
+        """Enabled actions per app ascending: InstallOrder, Ask NOR, Ask DAN,
+        Grant. Self-loop successors (re-asking the same level, re-granting)
+        are emitted; the kernel's dedup drops them from the frontier."""
+        # InstallOrder's guard quantifies over every app: only the very
+        # first install is possible.
+        can_install = s[installed] == nothing_installed
+        out = []
+        for a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l in actions:
+            if can_install:
+                out.append((install_l, s[:i] + _INSTALLED + s[i + 1:]))
+            out.append((ask_nor_l, s[:a] + _NOR + s[a + 1:]))
+            out.append((ask_dan_l, s[:a] + _DAN + s[a + 1:]))
+            # Disjunctive guard plus unconditional DAN effect; kept literal.
+            if s[a] == _NOR_CODE or s[i] == 1:
+                out.append((grant_l, s[:g] + _DAN + s[g + 1:]))
+        return out
 
-    def decode(state: State) -> Cs1State:
-        asked, granted, installed = (tuple(v for _, v in items)
-                                     for _, items in state.assignment)
-        return Cs1State(asked, granted, installed)
+    def type_ok(s: bytes) -> bool:
+        return (max(s[asked]) < len(PERM_LEVELS)
+                and max(s[granted]) < len(PERM_LEVELS)
+                and max(s[installed]) < 2)
 
-    def kernel_successors(state: State):
-        return [(label, encode(t)) for label, t in successors(decode(state))]
+    def consistent(s: bytes) -> bool:
+        """No app that asked for NOR may hold DAN."""
+        return (_NOR_CODE, _DAN_CODE) not in zip(s[asked], s[granted])
 
     return TransitionSystem(
         name=MODEL_NAME,
         variables=decls,
-        initial_states=(encode(initial_state(app_count)),),
-        successors=kernel_successors,
-        invariants=(
-            ("ApsTypeOK", lambda st: type_ok(decode(st))),
-            ("ApsConsistent", lambda st: consistent(decode(st))),
-        ),
+        initial_states=(initial,),
+        successors=successors,
+        invariants=(("ApsTypeOK", type_ok), ("ApsConsistent", consistent)),
     )

@@ -15,12 +15,12 @@ definer second reaches that situation in three steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..kernel import (ActionLabel, State, TransitionSystem, VariableDecl,
-                      canonical_encode)
+from ..kernel import (ActionLabel, TransitionSystem, VariableDecl,
+                      canonical_encode, variable_slices)
 
 NORMAL = "normal"
 DANGEROUS = "dangerous"
@@ -32,6 +32,16 @@ DENIED = "DENIED"
 
 MODEL_NAME = "custom_permissions"
 INVARIANT_NAMES = ("escalation_free",)
+
+# Domains of the registry level and grant slots ("" while unclaimed or not
+# yet decided), the code of a normal level, and the grant codes and
+# one-byte values request actions write.
+_REGISTRY_LEVELS = ("",) + PROTECTION_LEVELS
+_GRANT_MODES = ("", AUTO, CONSENT, DENIED)
+_NORMAL_CODE = _REGISTRY_LEVELS.index(NORMAL)
+_AUTO_CODE = _GRANT_MODES.index(AUTO)
+_AUTO, _CONSENT, _DENIED = (bytes([_GRANT_MODES.index(m)])
+                            for m in (AUTO, CONSENT, DENIED))
 
 
 @dataclass(frozen=True)
@@ -73,95 +83,9 @@ class AppSpec:
         object.__setattr__(self, "requests", tuple(sorted(set(self.requests))))
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Installed set, the active permission registry (first definer wins),
-    and the per-(app, name) grant outcome including one-shot denials."""
-
-    installed: frozenset[str] = frozenset()
-    registry: tuple[tuple[str, tuple[str, str]], ...] = ()  # name -> (level, definer)
-    grants: frozenset[tuple[str, str, str]] = frozenset()   # (app, name, mode)
-    denied: frozenset[tuple[str, str]] = frozenset()
-
-    def registry_map(self) -> dict[str, tuple[str, str]]:
-        return dict(self.registry)
-
-
-def _with_registry(s: DeviceState, reg: dict[str, tuple[str, str]]) -> DeviceState:
-    return replace(s, registry=tuple(sorted(reg.items())))
-
-
-def install(s: DeviceState, app: AppSpec) -> Optional[DeviceState]:
-    """Install `app` unless already installed; register its declarations
-    only where the name is still unclaimed."""
-    if app.id in s.installed:
-        return None
-    reg = s.registry_map()
-    for decl in app.declares:
-        if decl.name not in reg:
-            reg[decl.name] = (decl.level, app.id)
-    return _with_registry(replace(s, installed=s.installed | {app.id}), reg)
-
-
-def request(s: DeviceState, app: AppSpec,
-            name: str) -> Optional[list[tuple[ActionLabel, DeviceState]]]:
-    """Successors of `app` requesting `name`, or None when disabled.
-
-    Disabled unless the app is installed, lists the name in its requests,
-    the name is registered, and the pair is neither granted nor denied yet.
-    A normal-level name yields the single automatic grant; a dangerous-level
-    name yields the allow and deny branches of the user decision.
-    """
-    if app.id not in s.installed or name not in app.requests:
-        return None
-    reg = s.registry_map()
-    if name not in reg:
-        return None
-    if any(a == app.id and n == name for a, n, _ in s.grants):
-        return None
-    if (app.id, name) in s.denied:
-        return None
-    params = (("a", app.id), ("n", name))
-    if reg[name][0] == NORMAL:
-        granted = replace(s, grants=s.grants | {(app.id, name, AUTO)})
-        return [(ActionLabel("Request", params), granted)]
-    allowed = replace(s, grants=s.grants | {(app.id, name, CONSENT)})
-    refused = replace(s, denied=s.denied | {(app.id, name)})
-    return [(ActionLabel("UserAllow", params), allowed),
-            (ActionLabel("UserDeny", params), refused)]
-
-
-def escalation_free(s: DeviceState, apps: Sequence[AppSpec]) -> bool:
-    """False when an AUTO grant exists for a name some installed app
-    declares dangerous."""
-    dangerous = {d.name for a in apps if a.id in s.installed
-                 for d in a.declares if d.level == DANGEROUS}
-    return not any(mode == AUTO and name in dangerous
-                   for _, name, mode in s.grants)
-
-
-def successors(s: DeviceState,
-               apps: Sequence[AppSpec]) -> list[tuple[ActionLabel, DeviceState]]:
-    """Per app ascending by id: Install if enabled, then the request
-    branches for each requested name ascending."""
-    out: list[tuple[ActionLabel, DeviceState]] = []
-    for app in sorted(apps, key=lambda a: a.id):
-        installed = install(s, app)
-        if installed is not None:
-            out.append((ActionLabel("Install", (("a", app.id),)), installed))
-        for name in app.requests:
-            branches = request(s, app, name)
-            if branches is not None:
-                out.extend(branches)
-    return out
-
-
-def initial_state() -> DeviceState:
-    return DeviceState()
-
-
 def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
-    """Package a closed-world scenario as a kernel TransitionSystem."""
+    """Package a closed-world scenario as a kernel TransitionSystem over
+    byte-encoded states."""
     apps = sorted(apps, key=lambda a: a.id)
     if not apps:
         raise ConfigurationError("custom_permissions needs at least one app")
@@ -176,54 +100,98 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         raise ConfigurationError("app ids must not contain ':'")
     decls = (
         VariableDecl("installed", ids, (0, 1)),
-        VariableDecl("registryLevel", names, ("",) + PROTECTION_LEVELS),
+        VariableDecl("registryLevel", names, _REGISTRY_LEVELS),
         VariableDecl("registryDefiner", names, ("",) + ids),
-        VariableDecl("grants", tuple(f"{a}:{n}" for a, n in pairs),
-                     ("", AUTO, CONSENT, DENIED)),
+        VariableDecl("grants", tuple(f"{a}:{n}" for a, n in pairs), _GRANT_MODES),
     )
+    installed_at, level_at, definer_at, grant_at = (
+        where.start for where in variable_slices(decls))
+    initial = canonical_encode(decls, {
+        "installed": dict.fromkeys(ids, 0),
+        "registryLevel": dict.fromkeys(names, ""),
+        "registryDefiner": dict.fromkeys(names, ""),
+        "grants": dict.fromkeys(decls[3].keys, ""),
+    }).encoding
+    name_at = {n: j for j, n in enumerate(names)}
+    grant_slots = {pair: grant_at + p for p, pair in enumerate(pairs)}
 
-    def encode(s: DeviceState) -> State:
-        reg = s.registry_map()
-        grant_modes = {}
-        for a, n in pairs:
-            if (a, n) in s.denied:
-                grant_modes[f"{a}:{n}"] = DENIED
-            elif (a, n, AUTO) in s.grants:
-                grant_modes[f"{a}:{n}"] = AUTO
-            elif (a, n, CONSENT) in s.grants:
-                grant_modes[f"{a}:{n}"] = CONSENT
-            else:
-                grant_modes[f"{a}:{n}"] = ""
-        return canonical_encode(decls, {
-            "installed": {i: int(i in s.installed) for i in ids},
-            "registryLevel": {n: reg[n][0] if n in reg else "" for n in names},
-            "registryDefiner": {n: reg[n][1] if n in reg else "" for n in names},
-            "grants": grant_modes,
-        })
+    # Per app: its installed slot, its Install label, the registry entries
+    # it writes on install where a name is still unclaimed (level slot,
+    # level code, definer slot, definer code), and its requests in name
+    # order (level slot, grant slot, labels). A request for a name nobody
+    # declares is never enabled, so it is left out.
+    plans = []
+    for k, app in enumerate(apps):
+        declares = tuple(
+            (level_at + name_at[d.name], _REGISTRY_LEVELS.index(d.level),
+             definer_at + name_at[d.name], k + 1)
+            for d in app.declares)
+        requests = tuple(
+            (level_at + name_at[n], grant_slots[(app.id, n)],
+             ActionLabel("Request", (("a", app.id), ("n", n))),
+             ActionLabel("UserAllow", (("a", app.id), ("n", n))),
+             ActionLabel("UserDeny", (("a", app.id), ("n", n))))
+            for n in app.requests if n in name_at)
+        plans.append((installed_at + k, ActionLabel("Install", (("a", app.id),)),
+                      declares, requests))
 
-    def decode(state: State) -> DeviceState:
-        installed_v, level_v, definer_v, grants_v = (
-            tuple(v for _, v in items) for _, items in state.assignment)
-        installed = frozenset(i for i, bit in zip(ids, installed_v) if bit)
-        registry = {n: (lv, df) for n, lv, df in zip(names, level_v, definer_v)
-                    if lv != ""}
-        grants = frozenset((a, n, mode) for (a, n), mode in zip(pairs, grants_v)
-                           if mode in (AUTO, CONSENT))
-        denied = frozenset((a, n) for (a, n), mode in zip(pairs, grants_v)
-                           if mode == DENIED)
-        return _with_registry(
-            DeviceState(installed=installed, grants=grants, denied=denied),
-            registry)
+    def install(s: bytes, slot: int, declares) -> bytes:
+        t = bytearray(s)
+        t[slot] = 1
+        for level_slot, level, definer_slot, definer in declares:
+            if not t[level_slot]:
+                t[level_slot] = level
+                t[definer_slot] = definer
+        return bytes(t)
 
-    def kernel_successors(state: State):
-        return [(label, encode(t)) for label, t in successors(decode(state), apps)]
+    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
+        """Per app ascending by id: Install if not installed, else the
+        request branches for each requested name ascending that is
+        registered and neither granted nor denied to the app. A
+        normal-level name is granted automatically; a dangerous-level name
+        forks on the user's allow/deny decision."""
+        out = []
+        for slot, install_label, declares, requests in plans:
+            if not s[slot]:
+                out.append((install_label, install(s, slot, declares)))
+                continue
+            for level_slot, grant_slot, request_l, allow_l, deny_l in requests:
+                level = s[level_slot]
+                if not level or s[grant_slot]:
+                    continue
+                head, tail = s[:grant_slot], s[grant_slot + 1:]
+                if level == _NORMAL_CODE:
+                    out.append((request_l, head + _AUTO + tail))
+                else:
+                    out.append((allow_l, head + _CONSENT + tail))
+                    out.append((deny_l, head + _DENIED + tail))
+        return out
+
+    # Per name some app declares dangerous and some app requests: the
+    # installed slots of its dangerous definers and the grant slots of its
+    # requests.
+    definers: dict[str, list[int]] = {}
+    for k, app in enumerate(apps):
+        for d in app.declares:
+            if d.level == DANGEROUS:
+                definers.setdefault(d.name, []).append(installed_at + k)
+    requested: dict[str, list[int]] = {}
+    for (_, n), slot in grant_slots.items():
+        requested.setdefault(n, []).append(slot)
+    watched = tuple((definers[n], requested[n]) for n in names
+                    if n in definers and n in requested)
+
+    def escalation_free(s: bytes) -> bool:
+        """False when an AUTO grant exists for a name some installed app
+        declares dangerous."""
+        return not any(
+            any(s[g] == _AUTO_CODE for g in grants) and any(s[i] for i in installed)
+            for installed, grants in watched)
 
     return TransitionSystem(
         name=MODEL_NAME,
         variables=decls,
-        initial_states=(encode(initial_state()),),
-        successors=kernel_successors,
-        invariants=(
-            ("escalation_free", lambda st: escalation_free(decode(st), apps)),
-        ),
+        initial_states=(initial,),
+        successors=successors,
+        invariants=(("escalation_free", escalation_free),),
     )

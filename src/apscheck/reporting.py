@@ -136,10 +136,10 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     if not isinstance(steps, list) or not steps:
         raise ReplayDocumentError("trace is empty")
 
-    recorded: list[State] = []
+    recorded: list[bytes] = []
     for index, step in enumerate(steps, start=1):
         try:
-            recorded.append(system.encode(step["state"]))
+            recorded.append(system.encode(step["state"]).encoding)
         except (DomainError, KeyError, TypeError):
             return ReplayResult(False, index, "state does not decode against "
                                               "the system's declarations")

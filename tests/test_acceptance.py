@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,8 @@ from apscheck.models import build_system, cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from apscheck.reporting import render_structured, replay
 from apscheck.scenario import ScenarioError, parse_scenario, render_scenario
-from conftest import SCENARIOS
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @contextmanager

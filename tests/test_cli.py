@@ -72,6 +72,29 @@ class TestCheckCommand:
         code, out, err = run_cli("check", str(scn))
         assert code == 3
 
+    @staticmethod
+    def many_apps_scenario(path, apps: int):
+        path.write_text("model custom_permissions\n" + "".join(
+            f"app z{i} {{ declare P level normal request P }}\n" for i in range(apps))
+            + "max_states 10\n")
+        return str(path)
+
+    def test_domain_beyond_one_byte_is_rejected_at_build(self, run_cli, tmp_path):
+        # 300 apps give the registry's definer variable 301 values.
+        code, out, err = run_cli("check", self.many_apps_scenario(
+            tmp_path / "wide.scn", 300))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: variable 'registryDefiner' has 301 domain values; "
+                       "the one-byte-per-slot state encoding holds at most 256\n")
+
+    def test_domain_of_exactly_256_values_is_checked(self, run_cli, tmp_path):
+        code, out, err = run_cli("check", self.many_apps_scenario(
+            tmp_path / "widest.scn", 255))
+        assert code == 3
+        assert "State limit reached after 10 distinct states" in out
+        assert err == ""
+
     def test_undeclared_request_warning_goes_to_stderr(self, run_cli, tmp_path):
         scn = tmp_path / "warn.scn"
         scn.write_text("model custom_permissions\n"

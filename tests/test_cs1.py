@@ -11,92 +11,129 @@ from apscheck.kernel import ActionLabel, CheckOptions, Verdict, check, reachable
 from apscheck.models import cs1
 
 
+def encode(system, asked, granted, installed) -> bytes:
+    ids = cs1.app_ids(len(asked))
+    return system.encode({"askedPerms": dict(zip(ids, asked)),
+                          "grantedPerms": dict(zip(ids, granted)),
+                          "alreadyInstalled": dict(zip(ids, installed))}).encoding
+
+
+def values(system, state: bytes) -> tuple:
+    """(asked, granted, installed) value tuples, the oracle's state form."""
+    return tuple(tuple(v for _, v in items)
+                 for _, items in system.decode(state).assignment)
+
+
+def step(system, state: bytes, action: str):
+    """The successor via the rendered action, or None when it is disabled."""
+    return next((t for lbl, t in system.successors(state) if lbl.render() == action),
+                None)
+
+
+def initial(apps: int):
+    system = cs1.build_system(apps)
+    return system, system.initial_states[0]
+
+
 class TestStateOperations:
     def test_initial_state_one_app(self):
-        assert cs1.initial_state(1) == ((cs1.NONE,), (cs1.NONE,), (0,))
+        system, init = initial(1)
+        assert values(system, init) == ((cs1.NONE,), (cs1.NONE,), (0,))
 
     def test_initial_state_two_apps(self):
-        s = cs1.initial_state(2)
-        assert s.asked == (cs1.NONE, cs1.NONE)
-        assert s.granted == (cs1.NONE, cs1.NONE)
-        assert s.installed == (0, 0)
+        system, init = initial(2)
+        asked, granted, installed = values(system, init)
+        assert asked == (cs1.NONE, cs1.NONE)
+        assert granted == (cs1.NONE, cs1.NONE)
+        assert installed == (0, 0)
 
     def test_zero_apps_rejected(self):
         with pytest.raises(ConfigurationError):
-            cs1.initial_state(0)
+            cs1.build_system(0)
 
     def test_install_from_pristine_state(self):
-        s = cs1.install_order(cs1.initial_state(2), 0)
-        assert s.installed == (1, 0)
-        assert s.asked == (cs1.NONE, cs1.NONE)
-        assert s.granted == (cs1.NONE, cs1.NONE)
+        system, init = initial(2)
+        s = step(system, init, "InstallOrder(a1)")
+        assert values(system, s) == ((cs1.NONE, cs1.NONE), (cs1.NONE, cs1.NONE),
+                                     (1, 0))
 
     def test_install_disabled_once_any_app_is_installed(self):
-        s = cs1.initial_state(2)._replace(installed=(0, 1))
-        assert cs1.install_order(s, 0) is None
+        system, _ = initial(2)
+        s = encode(system, (cs1.NONE, cs1.NONE), (cs1.NONE, cs1.NONE), (0, 1))
+        assert step(system, s, "InstallOrder(a1)") is None
 
     def test_both_installs_enabled_initially_and_distinct(self):
-        init = cs1.initial_state(2)
-        first = cs1.install_order(init, 0)
-        second = cs1.install_order(init, 1)
+        system, init = initial(2)
+        first = step(system, init, "InstallOrder(a1)")
+        second = step(system, init, "InstallOrder(a2)")
         assert first is not None and second is not None
         assert first != second
 
     def test_ask_overwrites_previous_level(self):
-        s = cs1.ask(cs1.initial_state(1), 0, cs1.NOR)
-        assert s.asked == (cs1.NOR,)
-        s = cs1.ask(s, 0, cs1.DAN)
-        assert s.asked == (cs1.DAN,)
+        system, init = initial(1)
+        s = step(system, init, "Ask(a1, NOR)")
+        assert values(system, s)[0] == (cs1.NOR,)
+        s = step(system, s, "Ask(a1, DAN)")
+        assert values(system, s)[0] == (cs1.DAN,)
 
     def test_ask_same_level_twice_is_idempotent(self):
-        once = cs1.ask(cs1.initial_state(1), 0, cs1.NOR)
-        assert cs1.ask(once, 0, cs1.NOR) == once
+        system, init = initial(1)
+        once = step(system, init, "Ask(a1, NOR)")
+        assert step(system, once, "Ask(a1, NOR)") == once
 
     def test_ask_rejects_the_none_level(self):
-        with pytest.raises(ValueError):
-            cs1.ask(cs1.initial_state(1), 0, cs1.NONE)
+        system, init = initial(1)
+        levels = [dict(lbl.params)["p"] for lbl, _ in system.successors(init)
+                  if lbl.name == "Ask"]
+        assert levels == [cs1.NOR, cs1.DAN]
 
     def test_grant_disabled_initially(self):
-        assert cs1.grant(cs1.initial_state(1), 0) is None
+        system, init = initial(1)
+        assert step(system, init, "Grant(a1)") is None
 
     def test_grant_after_asking_nor_grants_dan(self):
-        s = cs1.ask(cs1.initial_state(1), 0, cs1.NOR)
-        granted = cs1.grant(s, 0)
-        assert granted.granted == (cs1.DAN,)
-        assert not cs1.consistent(granted)
+        system, init = initial(1)
+        granted = step(system, step(system, init, "Ask(a1, NOR)"), "Grant(a1)")
+        assert values(system, granted)[1] == (cs1.DAN,)
+        assert not system.invariant("ApsConsistent")(granted)
 
     def test_grant_via_installed_without_asking_stays_consistent(self):
-        s = cs1.install_order(cs1.initial_state(1), 0)
-        granted = cs1.grant(s, 0)
-        assert granted.granted == (cs1.DAN,)
-        assert cs1.consistent(granted)
+        system, init = initial(1)
+        granted = step(system, step(system, init, "InstallOrder(a1)"), "Grant(a1)")
+        assert values(system, granted)[1] == (cs1.DAN,)
+        assert system.invariant("ApsConsistent")(granted)
 
 
 class TestPredicates:
     def test_initial_state_is_type_correct(self):
         for n in (1, 2, 3):
-            assert cs1.type_ok(cs1.initial_state(n))
+            system, init = initial(n)
+            assert system.invariant("ApsTypeOK")(init)
 
     def test_out_of_domain_value_fails_type_check(self):
-        s = cs1.initial_state(1)._replace(granted=("HUGE",))
-        assert not cs1.type_ok(s)
+        system, _ = initial(1)
+        # Code 3 in the granted slot names no value of the level domain.
+        assert not system.invariant("ApsTypeOK")(bytes([0, 3, 0]))
 
     def test_consistency_examples(self):
-        assert cs1.consistent(cs1.initial_state(2))
-        bad = cs1.initial_state(1)._replace(asked=(cs1.NOR,), granted=(cs1.DAN,))
-        assert not cs1.consistent(bad)
-        ok = cs1.initial_state(1)._replace(asked=(cs1.DAN,), granted=(cs1.DAN,))
-        assert cs1.consistent(ok)
+        two_apps, init = initial(2)
+        assert two_apps.invariant("ApsConsistent")(init)
+        system, _ = initial(1)
+        consistent = system.invariant("ApsConsistent")
+        assert not consistent(encode(system, (cs1.NOR,), (cs1.DAN,), (0,)))
+        assert consistent(encode(system, (cs1.DAN,), (cs1.DAN,), (0,)))
 
 
 class TestSuccessors:
     def test_initial_single_app_has_three_successors(self):
-        labels = [lbl.render() for lbl, _ in cs1.successors(cs1.initial_state(1))]
+        system, init = initial(1)
+        labels = [lbl.render() for lbl, _ in system.successors(init)]
         assert labels == ["InstallOrder(a1)", "Ask(a1, NOR)", "Ask(a1, DAN)"]
 
     def test_after_asking_nor_grant_becomes_enabled(self):
-        s = cs1.ask(cs1.initial_state(1), 0, cs1.NOR)
-        succs = cs1.successors(s)
+        system, init = initial(1)
+        s = step(system, init, "Ask(a1, NOR)")
+        succs = system.successors(s)
         labels = [lbl.render() for lbl, _ in succs]
         # Nothing is installed yet, so InstallOrder stays enabled too.
         assert labels == ["InstallOrder(a1)", "Ask(a1, NOR)", "Ask(a1, DAN)",
@@ -105,14 +142,16 @@ class TestSuccessors:
         assert by_label["Ask(a1, NOR)"] == s  # self-loop is emitted
 
     def test_successor_order_is_stable_across_calls(self):
-        s = cs1.ask(cs1.initial_state(2), 1, cs1.DAN)
-        assert cs1.successors(s) == cs1.successors(s)
+        system, init = initial(2)
+        s = step(system, init, "Ask(a2, DAN)")
+        assert system.successors(s) == system.successors(s)
 
     def test_agrees_with_independent_transition_relation(self):
+        system, _ = initial(2)
         for state in oracles.reachable_set_fixpoint(oracles.cs1_initial(2),
                                                     oracles.cs1_successors):
-            model_state = cs1.Cs1State(*state)
-            got = [(lbl.name, tuple(t)) for lbl, t in cs1.successors(model_state)]
+            got = [(lbl.name, values(system, t))
+                   for lbl, t in system.successors(encode(system, *state))]
             expected = [(lbl[0], t) for lbl, t in oracles.cs1_successors(state)]
             assert got == expected
 
@@ -172,7 +211,8 @@ class TestReachability:
 class TestSystemPackaging:
     def test_encode_decode_round_trip(self):
         system = cs1.build_system(2)
-        init = system.initial_states[0]
+        init = system.decode(system.initial_states[0])
+        assert system.encode(init.as_dict()) == init
         assert init.as_dict() == {
             "askedPerms": {"a1": "", "a2": ""},
             "grantedPerms": {"a1": "", "a2": ""},
@@ -182,7 +222,7 @@ class TestSystemPackaging:
     def test_initial_encoding_is_deterministic(self):
         a = cs1.build_system(3).initial_states[0]
         b = cs1.build_system(3).initial_states[0]
-        assert a.encoding == b.encoding
+        assert a == b
 
     def test_registered_invariant_names(self):
         system = cs1.build_system(1)

@@ -9,7 +9,7 @@ import oracles
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import Verdict, check
 from apscheck.models import custom
-from apscheck.models.custom import (AUTO, CONSENT, AppSpec,
+from apscheck.models.custom import (AUTO, CONSENT, DENIED, AppSpec,
                                     PermissionDeclaration)
 
 MALWARE = AppSpec("malware", (PermissionDeclaration("P", "normal"),), ("P",))
@@ -39,81 +39,120 @@ class TestAppSpec:
             PermissionDeclaration("P", "medium")
 
 
+def step(system, state: bytes, action: str):
+    """The successor via the rendered action, or None when it is disabled."""
+    return next((t for lbl, t in system.successors(state) if lbl.render() == action),
+                None)
+
+
+def request(system, state: bytes, app: str, name: str):
+    """The request branches of `app` for `name`; empty when disabled."""
+    return [(lbl, t) for lbl, t in system.successors(state)
+            if dict(lbl.params) == {"a": app, "n": name}]
+
+
+def installed(system, state: bytes) -> set:
+    return {a for a, bit in system.decode(state).as_dict()["installed"].items() if bit}
+
+
+def registry(system, state: bytes) -> dict:
+    """name -> (active level, definer) for every registered name."""
+    view = system.decode(state).as_dict()
+    return {n: (level, view["registryDefiner"][n])
+            for n, level in view["registryLevel"].items() if level}
+
+
+def grants(system, state: bytes, modes=(AUTO, CONSENT)) -> set:
+    return {(*key.split(":"), mode)
+            for key, mode in system.decode(state).as_dict()["grants"].items()
+            if mode in modes}
+
+
+def escalation_free(system, state: bytes) -> bool:
+    return system.invariant("escalation_free")(state)
+
+
+def installed_in_order(*apps, system=None):
+    system = system or custom.build_system(SCENARIO)
+    s = system.initial_states[0]
+    for app in apps:
+        s = step(system, s, f"Install({app.id})")
+    return system, s
+
+
 class TestInstall:
     def test_first_install_registers_declarations(self):
-        s = custom.install(custom.initial_state(), MALWARE)
-        assert s.installed == {"malware"}
-        assert s.registry_map() == {"P": ("normal", "malware")}
+        system, s = installed_in_order(MALWARE)
+        assert installed(system, s) == {"malware"}
+        assert registry(system, s) == {"P": ("normal", "malware")}
 
     def test_second_definer_never_overwrites_the_registry(self):
-        s = custom.install(custom.initial_state(), MALWARE)
-        s = custom.install(s, VICTIM)
-        assert s.installed == {"malware", "victim"}
-        assert s.registry_map() == {"P": ("normal", "malware")}
+        system, s = installed_in_order(MALWARE, VICTIM)
+        assert installed(system, s) == {"malware", "victim"}
+        assert registry(system, s) == {"P": ("normal", "malware")}
 
     def test_install_of_installed_app_is_disabled(self):
-        s = custom.install(custom.initial_state(), MALWARE)
-        assert custom.install(s, MALWARE) is None
+        system, s = installed_in_order(MALWARE)
+        assert step(system, s, "Install(malware)") is None
 
     def test_install_order_decides_the_active_level(self):
-        s = custom.install(custom.initial_state(), VICTIM)
-        s = custom.install(s, MALWARE)
-        assert s.registry_map() == {"P": ("dangerous", "victim")}
+        system, s = installed_in_order(VICTIM, MALWARE)
+        assert registry(system, s) == {"P": ("dangerous", "victim")}
 
 
 class TestRequest:
-    def installed_both(self, first=MALWARE, second=VICTIM):
-        s = custom.install(custom.initial_state(), first)
-        return custom.install(s, second)
-
     def test_normal_level_yields_single_auto_grant(self):
-        s = self.installed_both()
-        branches = custom.request(s, MALWARE, "P")
+        system, s = installed_in_order(MALWARE, VICTIM)
+        branches = request(system, s, "malware", "P")
         assert [lbl.name for lbl, _ in branches] == ["Request"]
         (_, granted), = branches
-        assert granted.grants == {("malware", "P", AUTO)}
+        assert grants(system, granted) == {("malware", "P", AUTO)}
 
     def test_dangerous_level_forks_on_the_user_decision(self):
-        s = self.installed_both(first=VICTIM, second=MALWARE)
-        branches = custom.request(s, MALWARE, "P")
+        system, s = installed_in_order(VICTIM, MALWARE)
+        branches = request(system, s, "malware", "P")
         assert [lbl.name for lbl, _ in branches] == ["UserAllow", "UserDeny"]
         allowed = branches[0][1]
         denied = branches[1][1]
-        assert allowed.grants == {("malware", "P", CONSENT)}
-        assert denied.grants == frozenset() and denied.denied == {("malware", "P")}
+        assert grants(system, allowed) == {("malware", "P", CONSENT)}
+        assert grants(system, denied) == set()
+        assert grants(system, denied, (DENIED,)) == {("malware", "P", DENIED)}
 
     def test_request_disabled_when_not_installed(self):
-        assert custom.request(custom.initial_state(), MALWARE, "P") is None
+        system = custom.build_system(SCENARIO)
+        assert request(system, system.initial_states[0], "malware", "P") == []
 
     def test_request_disabled_for_unregistered_name(self):
-        s = custom.install(custom.initial_state(), VICTIM)
         ghost = AppSpec("ghost", (), ("Q",))
-        s = custom.install(s, ghost)
-        assert custom.request(s, ghost, "Q") is None
+        system, s = installed_in_order(VICTIM, ghost,
+                                       system=custom.build_system((VICTIM, ghost)))
+        assert installed(system, s) == {"victim", "ghost"}
+        assert request(system, s, "ghost", "Q") == []
 
     def test_request_disabled_once_granted_or_denied(self):
-        s = self.installed_both()
-        (_, granted), = custom.request(s, MALWARE, "P")
-        assert custom.request(granted, MALWARE, "P") is None
-        s2 = self.installed_both(first=VICTIM, second=MALWARE)
-        denied = custom.request(s2, MALWARE, "P")[1][1]
-        assert custom.request(denied, MALWARE, "P") is None
+        system, s = installed_in_order(MALWARE, VICTIM)
+        (_, granted), = request(system, s, "malware", "P")
+        assert request(system, granted, "malware", "P") == []
+        system, s2 = installed_in_order(VICTIM, MALWARE)
+        denied = request(system, s2, "malware", "P")[1][1]
+        assert request(system, denied, "malware", "P") == []
 
     def test_request_disabled_for_unlisted_name(self):
-        s = self.installed_both()
-        assert custom.request(s, VICTIM, "P") is None
+        system, s = installed_in_order(MALWARE, VICTIM)
+        assert request(system, s, "victim", "P") == []
 
 
 class TestEscalationProperty:
     def test_empty_device_is_escalation_free(self):
-        assert custom.escalation_free(custom.initial_state(), SCENARIO)
+        system = custom.build_system(SCENARIO)
+        assert escalation_free(system, system.initial_states[0])
 
     def test_malware_first_path_reaches_a_violation(self):
-        s = custom.install(custom.initial_state(), MALWARE)
-        (_, s), = custom.request(s, MALWARE, "P")
-        assert custom.escalation_free(s, SCENARIO)  # victim not installed yet
-        s = custom.install(s, VICTIM)
-        assert not custom.escalation_free(s, SCENARIO)
+        system, s = installed_in_order(MALWARE)
+        s = step(system, s, "Request(malware, P)")
+        assert escalation_free(system, s)  # victim not installed yet
+        s = step(system, s, "Install(victim)")
+        assert not escalation_free(system, s)
 
     def test_victim_first_subtree_is_entirely_safe(self):
         apps = as_oracle(SCENARIO)
@@ -127,29 +166,28 @@ class TestEscalationProperty:
         assert all(not oracles.custom_escalation(s, apps) for s in reached)
 
     def test_consent_grants_never_violate(self):
-        s = custom.install(custom.initial_state(), VICTIM)
-        s = custom.install(s, MALWARE)
-        allowed = custom.request(s, MALWARE, "P")[0][1]
-        assert custom.escalation_free(allowed, SCENARIO)
+        system, s = installed_in_order(VICTIM, MALWARE)
+        allowed = step(system, s, "UserAllow(malware, P)")
+        assert escalation_free(system, allowed)
 
 
 class TestSuccessorOrdering:
     def test_initial_offers_installs_in_id_order(self):
-        labels = [lbl.render() for lbl, _ in
-                  custom.successors(custom.initial_state(), SCENARIO)]
+        system = custom.build_system(SCENARIO)
+        labels = [lbl.render() for lbl, _ in system.successors(system.initial_states[0])]
         assert labels == ["Install(malware)", "Install(victim)"]
 
     def test_requests_enumerate_names_ascending(self):
         noisy = AppSpec("noisy", (PermissionDeclaration("A", "normal"),
                                   PermissionDeclaration("B", "normal")),
                         ("A", "B"))
-        s = custom.install(custom.initial_state(), noisy)
-        labels = [lbl.render() for lbl, _ in custom.successors(s, (noisy,))]
+        system, s = installed_in_order(noisy, system=custom.build_system((noisy,)))
+        labels = [lbl.render() for lbl, _ in system.successors(s)]
         assert labels == ["Request(noisy, A)", "Request(noisy, B)"]
 
     def test_terminal_state_has_no_successors(self):
-        s = custom.install(custom.initial_state(), VICTIM)
-        assert custom.successors(s, (VICTIM,)) == []
+        system, s = installed_in_order(VICTIM, system=custom.build_system((VICTIM,)))
+        assert system.successors(s) == []
 
 
 class TestScenarioChecking:
@@ -236,7 +274,7 @@ class TestSystemPackaging:
                     frontier.append(succ)
         assert len(seen) == 9  # full space from the independent enumerator
         for st in seen:
-            assert system.encode(st.as_dict()) == st
+            assert system.encode(system.decode(st).as_dict()).encoding == st
 
     def test_colon_in_app_id_is_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from apscheck.errors import (
     ConfigurationError,
     DomainError,
-    InternalConsistencyError,
     LimitExceededError,
     ModelIntegrityError,
 )
 from apscheck.kernel import (
     ActionLabel,
     CheckOptions,
-    State,
     TransitionSystem,
     VariableDecl,
     Verdict,
@@ -33,11 +33,11 @@ def graph_system(edges: dict[str, list[tuple[str, str]]], initial: list[str],
                          | set(initial)))
     decl = VariableDecl("node", ("v",), nodes)
 
-    def encode(node: str) -> State:
-        return canonical_encode((decl,), {"node": {"v": node}})
+    def encode(node: str) -> bytes:
+        return canonical_encode((decl,), {"node": {"v": node}}).encoding
 
-    def successors(state: State):
-        node = state.value("node", "v")
+    def successors(state: bytes):
+        node = nodes[state[0]]
         return [(ActionLabel(label), encode(target))
                 for label, target in edges.get(node, [])]
 
@@ -46,7 +46,7 @@ def graph_system(edges: dict[str, list[tuple[str, str]]], initial: list[str],
         variables=(decl,),
         initial_states=tuple(encode(n) for n in initial),
         successors=successors,
-        invariants=tuple((inv_name, lambda st, p=pred: p(st.value("node", "v")))
+        invariants=tuple((inv_name, lambda st, p=pred: p(nodes[st[0]]))
                          for inv_name, pred in invariants),
     )
 
@@ -85,6 +85,12 @@ class TestCanonicalEncode:
             canonical_encode(self.decls, {"x": {"a1": "", "a2": ""}})
         with pytest.raises(DomainError, match="missing key 'a2'"):
             canonical_encode(self.decls, {"x": {"a1": ""}, "y": {"a1": 0, "a2": 0}})
+
+    def test_domain_holds_at_most_256_values(self):
+        widest = VariableDecl("x", ("k",), tuple(range(256)))
+        assert canonical_encode((widest,), {"x": {"k": 255}}).encoding == bytes([255])
+        with pytest.raises(ConfigurationError, match="'x' has 257 domain values"):
+            VariableDecl("x", ("k",), tuple(range(257)))
 
     def test_encoding_is_one_byte_per_slot(self):
         assignment = {"x": {"a1": "DAN", "a2": "NOR"}, "y": {"a1": 1, "a2": 0}}
@@ -175,14 +181,16 @@ class TestCheck:
 
     def test_malformed_successor_names_the_action_label(self):
         decl = VariableDecl("node", ("v",), ("s",))
-        good = canonical_encode((decl,), {"node": {"v": "s"}})
-        rogue = State(bytes([7]), (("node", (("v", "s"),)),))
-        system = TransitionSystem(
-            "broken", (decl,), (good,),
-            successors=lambda st: [(ActionLabel("Corrupt", (("r", "a1"),)), rogue)],
-        )
-        with pytest.raises(ModelIntegrityError, match=r"Corrupt\(a1\)"):
-            check(system)
+        good = canonical_encode((decl,), {"node": {"v": "s"}}).encoding
+        for rogue, problem in ((bytes([7]), r"node\[v\] holds code 7"),
+                               (good + good, "state encoding has 2 slots, declarations require 1")):
+            system = TransitionSystem(
+                "broken", (decl,), (good,),
+                successors=lambda st: [(ActionLabel("Corrupt", (("r", "a1"),)), rogue)],
+            )
+            with pytest.raises(ModelIntegrityError,
+                               match=rf"successor via Corrupt\(a1\): {problem}"):
+                check(system)
 
     def test_elapsed_is_excluded_from_determinism(self):
         edges = {"a": [("l", "b")], "b": [("m", "a")]}
@@ -195,41 +203,36 @@ class TestCheck:
 
 
 class TestReconstructTrace:
-    decl = VariableDecl("node", ("v",), ("a", "b", "c", "d"))
+    system = graph_system({}, ["a", "b", "c", "d"])
 
-    def node(self, name: str) -> State:
-        return canonical_encode((self.decl,), {"node": {"v": name}})
+    def node(self, name: str) -> bytes:
+        return self.system.encode({"node": {"v": name}}).encoding
 
     def test_initial_violation_gives_single_state_trace(self):
         a = self.node("a")
-        trace = reconstruct_trace({a: None}, a, "inv")
+        trace = reconstruct_trace(self.system, [a], array("q", [-1]), [None], 0, "inv")
         assert len(trace.steps) == 1
-        assert trace.steps[0] == (a, None)
+        assert trace.steps[0] == (self.system.decode(a), None)
         assert trace.violated_invariant == "inv"
 
     def test_linear_chain_is_returned_in_recorded_order(self):
-        a, b, c, d = (self.node(n) for n in "abcd")
-        preds = {
-            a: None,
-            b: (a, ActionLabel("one")),
-            c: (b, ActionLabel("two")),
-            d: (c, ActionLabel("three")),
-        }
-        trace = reconstruct_trace(preds, d, "inv")
+        states = [self.node(n) for n in "abcd"]
+        labels = [None, ActionLabel("one"), ActionLabel("two"), ActionLabel("three")]
+        trace = reconstruct_trace(self.system, states, array("q", [-1, 0, 1, 2]),
+                                  labels, 3, "inv")
         assert len(trace) == 3
         assert [s.label.name for s in trace.steps[1:]] == ["one", "two", "three"]
-        assert [s.state for s in trace.steps] == [a, b, c, d]
+        assert [s.state.encoding for s in trace.steps] == states
+        assert [s.state.value("node", "v") for s in trace.steps] == list("abcd")
 
-    def test_unrecorded_state_is_an_internal_error(self):
-        a, b = self.node("a"), self.node("b")
-        with pytest.raises(InternalConsistencyError):
-            reconstruct_trace({a: None}, b, "inv")
-
-    def test_cyclic_map_is_an_internal_error(self):
-        a, b = self.node("a"), self.node("b")
-        preds = {a: (b, ActionLabel("x")), b: (a, ActionLabel("y"))}
-        with pytest.raises(InternalConsistencyError):
-            reconstruct_trace(preds, a, "inv")
+    def test_only_the_ancestors_of_the_violating_state_are_walked(self):
+        # a is the root of two branches, a -> b and a -> c -> d.
+        states = [self.node(n) for n in "abcd"]
+        labels = [None, ActionLabel("ab"), ActionLabel("ac"), ActionLabel("cd")]
+        trace = reconstruct_trace(self.system, states, array("q", [-1, 0, 0, 2]),
+                                  labels, 3, "inv")
+        assert [s.state.value("node", "v") for s in trace.steps] == ["a", "c", "d"]
+        assert [s.label for s in trace.steps] == [None, labels[2], labels[3]]
 
 
 class TestReachableStats:
@@ -270,11 +273,11 @@ class TestTraceReplayInvariant:
         system = graph_system(edges, ["a"],
                               invariants=(("safe", lambda n: n != "bad"),))
         trace = check(system).trace
-        current = trace.steps[0].state
+        current = trace.steps[0].state.encoding
         assert current in system.initial_states
         for step in trace.steps[1:]:
             matches = [t for lbl, t in system.successors(current)
                        if lbl == step.label]
             assert matches, f"label {step.label.render()} not enabled"
-            assert matches[0] == step.state
+            assert matches[0] == step.state.encoding
             current = matches[0]
