@@ -1,8 +1,9 @@
 """Command-line driver: parse a scenario, build its model, check, report.
 
 Exit codes: 0 all checked invariants hold, 1 a violation was found,
-2 usage/parse/semantic error, 3 state limit exceeded or model integrity
-error. Stdout carries only the report; diagnostics go to stderr.
+2 usage/parse/semantic error, 3 state limit exceeded, interrupted
+(Ctrl-C during the check) or model integrity error. Stdout carries only
+the report; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ _EXIT_BY_VERDICT = {
     Verdict.PASS: 0,
     Verdict.VIOLATION: 1,
     Verdict.LIMIT_EXCEEDED: 3,
+    Verdict.INTERRUPTED: 3,
 }
 
 

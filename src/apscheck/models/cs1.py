@@ -74,7 +74,8 @@ def build_system(app_count: int) -> TransitionSystem:
     def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
         """Enabled actions per app ascending: InstallOrder, Ask NOR, Ask DAN,
         Grant. Self-loop successors (re-asking the same level, re-granting)
-        are emitted; the kernel's dedup drops them from the frontier."""
+        are emitted as `s` itself; the kernel's dedup drops them from the
+        frontier."""
         # InstallOrder's guard quantifies over every app: only the very
         # first install is possible.
         can_install = s[installed] == nothing_installed
@@ -82,11 +83,15 @@ def build_system(app_count: int) -> TransitionSystem:
         for a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l in actions:
             if can_install:
                 out.append((install_l, s[:i] + _INSTALLED + s[i + 1:]))
-            out.append((ask_nor_l, s[:a] + _NOR + s[a + 1:]))
-            out.append((ask_dan_l, s[:a] + _DAN + s[a + 1:]))
+            level = s[a]
+            out.append((ask_nor_l,
+                        s if level == _NOR_CODE else s[:a] + _NOR + s[a + 1:]))
+            out.append((ask_dan_l,
+                        s if level == _DAN_CODE else s[:a] + _DAN + s[a + 1:]))
             # Disjunctive guard plus unconditional DAN effect; kept literal.
-            if s[a] == _NOR_CODE or s[i] == 1:
-                out.append((grant_l, s[:g] + _DAN + s[g + 1:]))
+            if level == _NOR_CODE or s[i] == 1:
+                out.append((grant_l,
+                            s if s[g] == _DAN_CODE else s[:g] + _DAN + s[g + 1:]))
         return out
 
     def type_ok(s: bytes) -> bool:

@@ -184,9 +184,14 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
     def escalation_free(s: bytes) -> bool:
         """False when an AUTO grant exists for a name some installed app
         declares dangerous."""
-        return not any(
-            any(s[g] == _AUTO_CODE for g in grants) and any(s[i] for i in installed)
-            for installed, grants in watched)
+        for installed, grants in watched:
+            for g in grants:
+                if s[g] == _AUTO_CODE:
+                    for i in installed:
+                        if s[i]:
+                            return False
+                    break
+        return True
 
     return TransitionSystem(
         name=MODEL_NAME,

@@ -57,6 +57,10 @@ def render_text(report: CheckReport) -> str:
         lines.append(f"State limit reached after {report.distinct_states} distinct "
                      "states; statistics below are partial.")
         lines.append("")
+    elif report.verdict is Verdict.INTERRUPTED:
+        lines.append(f"Interrupted after {report.distinct_states} distinct "
+                     "states; statistics below are partial.")
+        lines.append("")
     else:
         if report.invariants_checked:
             names = ", ".join(report.invariants_checked)
@@ -114,12 +118,14 @@ class ReplayResult:
 def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     """Re-execute a structured report's trace against `system`.
 
-    Valid when the first state is initial, every later state is the
-    successor the recorded action produces, and the final state violates
-    the named invariant. Raises :class:`ReplayDocumentError` when the
-    document cannot be interpreted at all (bad JSON, no trace, unknown
-    invariant); in-trace mismatches, including tampered values, come back
-    as an invalid result pointing at the first divergent step.
+    Valid when every recorded state is exactly a decoded state of the
+    system (no extra variables or keys), the first state is initial and
+    carries no action, every later state is the successor the recorded
+    action produces, and the final state violates the named invariant.
+    Raises :class:`ReplayDocumentError` when the document cannot be
+    interpreted at all (bad JSON, no trace, unknown invariant); in-trace
+    mismatches, including tampered values, come back as an invalid result
+    pointing at the first divergent step.
     """
     try:
         doc = json.loads(report_document)
@@ -139,10 +145,18 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     recorded: list[bytes] = []
     for index, step in enumerate(steps, start=1):
         try:
-            recorded.append(system.encode(step["state"]).encoding)
+            state = step["state"]
+            encoding = system.encode(state).encoding
         except (DomainError, KeyError, TypeError):
+            encoding = None
+        # Encoding ignores undeclared variables and keys; decoding back
+        # exposes them.
+        if encoding is None or system.decode(encoding).as_dict() != state:
             return ReplayResult(False, index, "state does not decode against "
                                               "the system's declarations")
+        if index == 1 and (step.get("action") is not None or step.get("params")):
+            return ReplayResult(False, 1, "initial step carries an action")
+        recorded.append(encoding)
 
     if recorded[0] not in system.initial_states:
         return ReplayResult(False, 1, "first state is not an initial state")

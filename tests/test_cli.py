@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,26 @@ class TestModuleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "ApsConsistent" in proc.stdout
+
+    def test_interrupt_exits_three_with_a_partial_report(self, tmp_path):
+        # aps_cs1 with 7 apps has about 750,000 states: the check is still
+        # running when the signal arrives.
+        scn = tmp_path / "long.scn"
+        scn.write_text("model aps_cs1\napps 7\ncheck ApsTypeOK\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apscheck", "check", str(scn)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            time.sleep(2.0)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 3
+        assert out.startswith("Interrupted after ")
+        assert out.splitlines()[0].endswith(
+            " distinct states; statistics below are partial.")
+        assert "Traceback" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -192,6 +193,38 @@ class TestCheck:
                                match=rf"successor via Corrupt\(a1\): {problem}"):
                 check(system)
 
+    def test_variables_without_values_are_checked_too(self):
+        # A keyed variable with an empty domain admits no state at all; a
+        # keyless one occupies no slot and must not hide a later bad slot.
+        for decls, rogue, problem in (
+            ((VariableDecl("x", ("a",), ()), VariableDecl("y", ("b",), (0, 1))),
+             bytes([0]), "state encoding has 1 slots, declarations require 2"),
+            ((VariableDecl("x", (), ()), VariableDecl("y", ("b",), (0,))),
+             bytes([5]), r"y\[b\] holds code 5"),
+        ):
+            system = TransitionSystem("bare", decls, (rogue,), lambda st: [])
+            with pytest.raises(ModelIntegrityError, match=f"initial state: {problem}"):
+                check(system)
+
+    def test_interrupt_returns_the_partial_counts(self):
+        edges = {"a": [("l", "b"), ("r", "c")], "b": [("m", "d")],
+                 "c": [("n", "e")], "d": [("o", "f")]}
+        base = graph_system(edges, ["a"], invariants=(("ok", lambda n: True),))
+        calls = 0
+
+        def successors(state):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise KeyboardInterrupt
+            return base.successors(state)
+
+        report = check(replace(base, successors=successors))
+        assert report.verdict is Verdict.INTERRUPTED
+        assert (report.distinct_states, report.transitions, report.diameter) == (4, 3, 2)
+        assert report.trace is None
+        assert report.invariants_checked == ("ok",)
+
     def test_elapsed_is_excluded_from_determinism(self):
         edges = {"a": [("l", "b")], "b": [("m", "a")]}
         system = graph_system(edges, ["a"])
@@ -249,6 +282,15 @@ class TestReachableStats:
         with pytest.raises(LimitExceededError) as exc:
             reachable_stats(graph_system(edges, ["a"]), max_states=1)
         assert exc.value.distinct_states == 1
+
+    def test_interrupt_is_re_raised_not_reported_as_complete(self):
+        base = graph_system({"a": [("go", "b")]}, ["a"])
+
+        def successors(state):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            reachable_stats(replace(base, successors=successors))
 
     def test_monotone_diameter_in_the_state_limit(self):
         edges = {"a": [("l", "b"), ("r", "c")], "b": [("m", "d")],

@@ -1,13 +1,17 @@
 """Property tests: the kernel against the independent oracles on random
-small custom_permissions scenarios (1-3 apps, at most 2 names)."""
+small custom_permissions scenarios (1-3 apps, at most 2 names), and the
+kernel's compiled layout check against a plain loop."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from apscheck.kernel import CheckOptions, Verdict, check
+from apscheck.errors import ModelIntegrityError
+from apscheck.kernel import (ActionLabel, CheckOptions, TransitionSystem,
+                             VariableDecl, Verdict, check)
 from apscheck.models import custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from apscheck.reporting import render_structured, replay
@@ -51,3 +55,55 @@ def test_check_agrees_with_the_oracles(apps):
         assert report.verdict is Verdict.VIOLATION
         assert len(report.trace) == shortest
         assert replay(render_structured(report), system)
+
+
+# Domain sizes, including those whose top code is a byte with a meaning in
+# a regex: 11 (top code newline), 46 ("-"), 92-96 ("[", "\\", "]", "^",
+# "_"); 0 is a domain with no value at all.
+DOMAIN_SIZES = (0, 1, 2, 3, 11, 46, 92, 93, 94, 95, 96, 255, 256)
+
+
+@st.composite
+def layouts_and_encodings(draw):
+    decls = tuple(
+        VariableDecl(f"v{n}", tuple(f"k{k}" for k in range(draw(st.integers(0, 5)))),
+                     tuple(range(draw(st.sampled_from(DOMAIN_SIZES)))))
+        for n in range(draw(st.integers(1, 4))))
+    # Codes at and around each slot's domain bound, or anywhere.
+    codes = [draw(st.sampled_from([c for c in (0, len(d.domain) - 1, len(d.domain))
+                                   if 0 <= c <= 255]) | st.integers(0, 255))
+             for d in decls for _ in d.keys]
+    resize = draw(st.sampled_from((-1, 0, 1)))
+    if resize < 0:
+        codes = codes[:-1]
+    elif resize > 0:
+        codes.append(draw(st.integers(0, 255)))
+    return decls, bytes(codes)
+
+
+def well_formed(decls, encoding: bytes) -> bool:
+    slots = [len(d.domain) for d in decls for _ in d.keys]
+    return (len(encoding) == len(slots)
+            and all(code < size for code, size in zip(encoding, slots)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(layouts_and_encodings())
+def test_layout_check_agrees_with_a_plain_loop(case):
+    decls, encoding = case
+    initial = bytes(sum(len(d.keys) for d in decls))
+    if well_formed(decls, initial):
+        # Fed as the only successor of a valid initial state.
+        system = TransitionSystem(
+            "layout", decls, (initial,),
+            successors=lambda s: [(ActionLabel("Go"), encoding)] if s == initial else [])
+    else:
+        # Some variable has keys but no values: no state is valid, so the
+        # encoding is fed as the initial state.
+        system = TransitionSystem("layout", decls, (encoding,),
+                                  successors=lambda s: [])
+    if well_formed(decls, encoding):
+        assert check(system).verdict is Verdict.PASS
+    else:
+        with pytest.raises(ModelIntegrityError):
+            check(system)

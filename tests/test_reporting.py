@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -75,6 +76,23 @@ class TestTextRendering:
                        CheckOptions(max_states=4))
         assert report.verdict is Verdict.LIMIT_EXCEEDED
         assert "partial" in render_text(report)
+
+    def test_interrupted_report_is_flagged_partial(self, cs1_system):
+        calls = 0
+
+        def successors(state):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                raise KeyboardInterrupt
+            return cs1_system.successors(state)
+
+        report = check(replace(cs1_system, successors=successors))
+        assert report.verdict is Verdict.INTERRUPTED
+        text = render_text(report)
+        assert text.startswith("Interrupted after 4 distinct states; statistics "
+                               "below are partial.\n\nStatistics:\n")
+        assert json.loads(render_structured(report))["verdict"] == "interrupted"
 
     def test_stats_only_report_says_so(self, cs1_system):
         report = check(cs1_system, CheckOptions(check_invariants=False))
@@ -189,6 +207,33 @@ class TestReplay:
         doc["violated_invariant"] = "SomethingElse"
         with pytest.raises(ReplayDocumentError):
             replay(json.dumps(doc), cs1_system)
+
+    def test_undeclared_variable_is_caught_at_its_step(self, custom_violation,
+                                                       custom_system):
+        doc = json.loads(render_structured(custom_violation))
+        doc["trace"][-1]["state"]["backdoor"] = {"x": 1}
+        result = replay(json.dumps(doc), custom_system)
+        assert not result
+        assert result.divergent_step == len(doc["trace"])
+        assert result.reason.startswith("state does not decode")
+
+    def test_undeclared_key_is_caught_at_its_step(self, custom_violation,
+                                                  custom_system):
+        doc = json.loads(render_structured(custom_violation))
+        doc["trace"][0]["state"]["installed"]["ghost"] = 1
+        result = replay(json.dumps(doc), custom_system)
+        assert not result
+        assert result.divergent_step == 1
+        assert result.reason.startswith("state does not decode")
+
+    def test_action_on_the_initial_step_is_a_divergence(self, custom_violation,
+                                                        custom_system):
+        doc = json.loads(render_structured(custom_violation))
+        doc["trace"][0]["action"] = "Install"
+        result = replay(json.dumps(doc), custom_system)
+        assert not result
+        assert result.divergent_step == 1
+        assert result.reason == "initial step carries an action"
 
     def test_document_survives_a_json_round_trip(self, custom_violation,
                                                  custom_system):
