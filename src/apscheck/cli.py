@@ -2,13 +2,14 @@
 
 Exit codes: 0 all checked invariants hold, 1 a violation was found,
 2 usage/parse/semantic error, 3 state limit exceeded, interrupted
-(Ctrl-C during the check) or model integrity error. Stdout carries only
-the report; diagnostics go to stderr.
+(Ctrl-C) or model integrity error. Stdout carries only the report;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,7 +28,10 @@ _EXIT_BY_VERDICT = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and shared by later ones: each
+    `parse_args` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="apscheck",
         description="Explicit-state safety checker for the built-in "
@@ -128,10 +132,14 @@ def _cmd_list_models() -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "list-models":
-        return _cmd_list_models()
-    return _cmd_check(args)
+    try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "list-models":
+            return _cmd_list_models()
+        return _cmd_check(args)
+    except KeyboardInterrupt:  # `check` reports its own as a partial report
+        print("error: interrupted", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

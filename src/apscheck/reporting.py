@@ -119,9 +119,10 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     """Re-execute a structured report's trace against `system`.
 
     Valid when every recorded state is exactly a decoded state of the
-    system (no extra variables or keys), the first state is initial and
-    carries no action, every later state is the successor the recorded
-    action produces, and the final state violates the named invariant.
+    system (no extra variables or keys, every value of the same JSON
+    type), the first state is initial and carries no action, every later
+    state is the successor the recorded action produces, and the final
+    state violates the named invariant.
     Raises :class:`ReplayDocumentError` when the document cannot be
     interpreted at all (bad JSON, no trace, unknown invariant); in-trace
     mismatches, including tampered values, come back as an invalid result
@@ -149,9 +150,11 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
             encoding = system.encode(state).encoding
         except (DomainError, KeyError, TypeError):
             encoding = None
-        # Encoding ignores undeclared variables and keys; decoding back
-        # exposes them.
-        if encoding is None or system.decode(encoding).as_dict() != state:
+        # Encoding ignores undeclared variables and keys and matches values
+        # with `==` (JSON `true` and `1.0` both find `1`); the decoded
+        # state's JSON form exposes both.
+        if encoding is None or json.dumps(state, sort_keys=True) != json.dumps(
+                system.decode(encoding).as_dict(), sort_keys=True):
             return ReplayResult(False, index, "state does not decode against "
                                               "the system's declarations")
         if index == 1 and (step.get("action") is not None or step.get("params")):

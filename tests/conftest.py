@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,14 @@ SCENARIOS = REPO_ROOT / "scenarios"
 @pytest.fixture
 def scenarios_dir() -> Path:
     return SCENARIOS
+
+
+@pytest.fixture
+def checkout_env() -> dict:
+    """Environment for a child `python -m apscheck` that imports this
+    checkout's `src`, ahead of whatever PYTHONPATH the caller set."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+        None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture

@@ -143,13 +143,13 @@ def _strip_elapsed(text: str) -> str:
                      if "elapsed" not in line and "elapsed_ms" not in line)
 
 
-def run_once(args) -> tuple[int, str]:
+def run_once(args, env) -> tuple[int, str]:
     proc = subprocess.run([sys.executable, "-m", "apscheck", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout
 
 
-def test_criterion_5_repeated_runs_are_byte_identical():
+def test_criterion_5_repeated_runs_are_byte_identical(checkout_env):
     with criterion(5, "determinism of stdout across processes"):
         invocations = [
             ("check", str(SCENARIOS / "cs1.scn")),
@@ -159,8 +159,8 @@ def test_criterion_5_repeated_runs_are_byte_identical():
             ("check", str(SCENARIOS / "custom_safe.scn")),
         ]
         for args in invocations:
-            first_code, first_out = run_once(args)
-            second_code, second_out = run_once(args)
+            first_code, first_out = run_once(args, checkout_env)
+            second_code, second_out = run_once(args, checkout_env)
             assert first_code == second_code
             assert _strip_elapsed(first_out) == _strip_elapsed(second_out)
             assert first_out != ""

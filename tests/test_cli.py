@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,6 +11,15 @@ import time
 from pathlib import Path
 
 import pytest
+
+from apscheck import cli
+
+SHIPPED = sorted(p.name for p in
+                 (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+
+
+def mask_elapsed(text: str) -> str:
+    return re.sub(r'(elapsed(?:_ms)?"?: )[0-9.]+', r"\1X", text)
 
 
 class TestCheckCommand:
@@ -172,26 +181,87 @@ class TestListModels:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_is_not_built_at_import(self, checkout_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import apscheck.cli as c; "
+             "print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=checkout_env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_options_do_not_leak_between_calls(self, run_cli, scenarios_dir,
+                                               name):
+        flag_sets = [(), ("--stats-only",), ("--format", "json"),
+                     ("--max-states", "7"), ("--stats-only", "--format", "json")]
+        first = {}
+        for flags in flag_sets + flag_sets[::-1]:
+            code, out, err = run_cli("check", str(scenarios_dir / name), *flags)
+            outcome = (code, mask_elapsed(out), err)
+            assert first.setdefault(flags, outcome) == outcome, flags
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["check"],
+        ["check", "cs1.scn", "--format", "xml"],
+        ["check", "cs1.scn", "--max-states", "x"],
+        ["--help"],
+        ["check", "--help"],
+    ])
+    def test_errors_and_help_are_repeatable(self, capsys, argv):
+        def outcome():
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            return (exc.value.code, *capsys.readouterr())
+
+        cli._build_parser.cache_clear()
+        first = outcome()
+        assert first[0] in (0, 2)
+        assert first[1] or first[2]
+        cli.main(["list-models"])
+        capsys.readouterr()
+        assert outcome() == first
+
+
+class TestInterruptOutsideCheck:
+    @pytest.mark.parametrize("target", ["parse_scenario", "render_text"])
+    def test_interrupt_exits_three_without_a_report(self, run_cli, scenarios_dir,
+                                                    monkeypatch, target):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, target, interrupted)
+        try:
+            code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped cli.main")
+        assert code == 3
+        assert err == "error: interrupted\n"
+        assert out == ""
+
+
 class TestModuleEntryPoint:
-    def test_python_dash_m_invocation(self, scenarios_dir):
+    def test_python_dash_m_invocation(self, scenarios_dir, checkout_env):
         proc = subprocess.run(
             [sys.executable, "-m", "apscheck", "check",
              str(scenarios_dir / "cs1.scn")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env)
         assert proc.returncode == 1
         assert "ApsConsistent" in proc.stdout
 
-    def test_interrupt_exits_three_with_a_partial_report(self, tmp_path):
+    def test_interrupt_exits_three_with_a_partial_report(self, tmp_path,
+                                                         checkout_env):
         # aps_cs1 with 7 apps has about 750,000 states: the check is still
         # running when the signal arrives.
         scn = tmp_path / "long.scn"
         scn.write_text("model aps_cs1\napps 7\ncheck ApsTypeOK\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "apscheck", "check", str(scn)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=checkout_env)
         try:
             time.sleep(2.0)
             proc.send_signal(signal.SIGINT)

@@ -9,9 +9,10 @@ import pytest
 
 from apscheck.errors import ReplayDocumentError
 from apscheck.kernel import CheckOptions, Verdict, check
-from apscheck.models import cs1, custom
+from apscheck.models import build_system, cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from apscheck.reporting import render_structured, render_text, replay
+from apscheck.scenario import parse_scenario
 
 SCENARIO = (
     AppSpec("malware", (PermissionDeclaration("P", "normal"),), ("P",)),
@@ -225,6 +226,64 @@ class TestReplay:
         assert not result
         assert result.divergent_step == 1
         assert result.reason.startswith("state does not decode")
+
+    @pytest.mark.parametrize("name", ["cs1.scn", "custom_vuln.scn"])
+    def test_shipped_violation_reports_replay_cleanly(self, scenarios_dir, name):
+        system = build_system(parse_scenario(
+            (scenarios_dir / name).read_text(encoding="utf-8")))
+        assert replay(render_structured(check(system)), system)
+
+    @staticmethod
+    def retyped(report, step: int, var: str, cast) -> str:
+        doc = json.loads(render_structured(report))
+        values = doc["trace"][step]["state"][var]
+        for key in values:
+            values[key] = cast(values[key])
+        return json.dumps(doc)
+
+    def test_boolean_for_an_integer_value_is_caught(self, custom_violation,
+                                                    custom_system):
+        # The final state has every app installed (1); JSON `true` == 1.
+        document = self.retyped(custom_violation, -1, "installed", bool)
+        assert '"installed": {"malware": true, "victim": true}' in document
+        result = replay(document, custom_system)
+        assert not result
+        assert result.divergent_step == len(custom_violation.trace.steps)
+        assert result.reason == ("state does not decode against the system's "
+                                 "declarations")
+
+    def test_float_for_an_integer_value_is_caught(self, custom_violation,
+                                                  custom_system):
+        document = self.retyped(custom_violation, 0, "installed", float)
+        assert '"installed": {"malware": 0.0, "victim": 0.0}' in document
+        result = replay(document, custom_system)
+        assert not result
+        assert result.divergent_step == 1
+        assert result.reason == ("state does not decode against the system's "
+                                 "declarations")
+
+    def test_boolean_in_cs1_installed_flag_is_caught(self, cs1_system):
+        # The shortest trace never installs; this longer one does, so its
+        # last state holds alreadyInstalled[a1] = 1.
+        state, steps = cs1_system.initial_states[0], []
+        for number, action in enumerate((None, "InstallOrder", "Ask", "Grant"),
+                                        start=1):
+            label = None
+            if action is not None:
+                label, state = next((l, s) for l, s in cs1_system.successors(state)
+                                    if l.name == action)
+            steps.append({"step": number, "action": action,
+                          "params": dict(label.params) if label else {},
+                          "state": cs1_system.decode(state).as_dict()})
+        doc = {"violated_invariant": "ApsConsistent", "trace": steps}
+        assert replay(json.dumps(doc), cs1_system)
+        assert steps[-1]["state"]["alreadyInstalled"] == {"a1": 1}
+        steps[-1]["state"]["alreadyInstalled"]["a1"] = True
+        result = replay(json.dumps(doc), cs1_system)
+        assert not result
+        assert result.divergent_step == 4
+        assert result.reason == ("state does not decode against the system's "
+                                 "declarations")
 
     def test_action_on_the_initial_step_is_a_divergence(self, custom_violation,
                                                         custom_system):
