@@ -10,7 +10,6 @@ from .errors import (
     CheckerError,
     ConfigurationError,
     DomainError,
-    LimitExceededError,
     ModelIntegrityError,
     ReplayDocumentError,
 )
@@ -26,7 +25,6 @@ from .kernel import (
     Verdict,
     canonical_encode,
     check,
-    reachable_stats,
     reconstruct_trace,
 )
 from .models import (
@@ -56,7 +54,6 @@ __all__ = [
     "CheckerError",
     "ConfigurationError",
     "DomainError",
-    "LimitExceededError",
     "ModelInfo",
     "ModelIntegrityError",
     "PermissionDeclaration",
@@ -76,7 +73,6 @@ __all__ = [
     "get_model",
     "model_names",
     "parse_scenario",
-    "reachable_stats",
     "reconstruct_trace",
     "render_scenario",
     "render_structured",

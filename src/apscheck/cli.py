@@ -72,9 +72,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ScenarioError as exc:
         print(f"{args.scenario}:{exc}", file=sys.stderr)
         return 2
-    for finding in validate_semantics(scenario):
-        if finding.severity == "warning":
-            print(f"{args.scenario}: warning: {finding.message}", file=sys.stderr)
+    for advisory in validate_semantics(scenario):
+        print(f"{args.scenario}: warning: {advisory}", file=sys.stderr)
 
     max_states = scenario.max_states
     if args.max_states is not None:

@@ -19,19 +19,5 @@ class ModelIntegrityError(CheckerError):
     """A model produced a successor state that violates its own declarations."""
 
 
-class LimitExceededError(CheckerError):
-    """Exploration hit the state limit before exhausting the frontier.
-
-    Carries the partial statistics gathered up to the stop.
-    """
-
-    def __init__(self, message: str, distinct_states: int, transitions: int,
-                 diameter: int):
-        super().__init__(message)
-        self.distinct_states = distinct_states
-        self.transitions = transitions
-        self.diameter = diameter
-
-
 class ReplayDocumentError(CheckerError):
     """A report document is unparseable or lacks a replayable trace."""

@@ -20,12 +20,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    LimitExceededError,
-    ModelIntegrityError,
-)
+from .errors import ConfigurationError, DomainError, ModelIntegrityError
 
 # One byte per slot holds the value's domain code.
 MAX_DOMAIN_SIZE = 256
@@ -44,7 +39,8 @@ class VariableDecl:
     Keys are typically app identifiers, but any fixed, ordered index set
     works (the custom-permission model also indexes by permission name and
     by app:name pairs). Domain order fixes the byte code of each value, so
-    a domain holds at most :data:`MAX_DOMAIN_SIZE` values.
+    a domain holds at most :data:`MAX_DOMAIN_SIZE` values, and neither keys
+    nor domain values may repeat: each value has exactly one code.
     """
 
     name: str
@@ -58,6 +54,11 @@ class VariableDecl:
                 f"the one-byte-per-slot state encoding holds at most "
                 f"{MAX_DOMAIN_SIZE}"
             )
+        for what, values in (("key", self.keys), ("domain value", self.domain)):
+            if len(set(values)) < len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ConfigurationError(
+                    f"variable {self.name!r} repeats {what} {repeated!r}")
 
 
 def variable_slices(variables: Sequence[VariableDecl]) -> tuple[slice, ...]:
@@ -90,12 +91,6 @@ class State:
     def as_dict(self) -> dict[str, dict[str, object]]:
         return {var: dict(items) for var, items in self.assignment}
 
-    def value(self, var: str, key: str):
-        for name, items in self.assignment:
-            if name == var:
-                return dict(items)[key]
-        raise KeyError(var)
-
     def __eq__(self, other):
         return isinstance(other, State) and self.encoding == other.encoding
 
@@ -126,9 +121,16 @@ def canonical_encode(variables: Sequence[VariableDecl],
 
     Deterministic and injective for a fixed declaration list: variables in
     declaration order, keys in declared key order, one byte per slot holding
-    the value's domain code. Raises :class:`DomainError` when the assignment
-    misses a variable or key, or carries an out-of-domain value.
+    the value's domain code. The assignment must hold exactly the declared
+    variables and keys, and each value must equal a domain value of the same
+    type (``True`` and ``1.0`` are not ``1``); otherwise :class:`DomainError`
+    names the offending variable, key or value. The returned state holds the
+    domain's own values.
     """
+    declared = [decl.name for decl in variables]
+    for name in assignment:
+        if name not in declared:
+            raise DomainError(f"assignment has undeclared variable {name!r}")
     codes = bytearray()
     decoded = []
     for decl in variables:
@@ -144,15 +146,21 @@ def canonical_encode(variables: Sequence[VariableDecl],
                 raise DomainError(
                     f"assignment for {decl.name!r} is missing key {key!r}"
                 ) from None
-            try:
-                code = decl.domain.index(value)
-            except ValueError:
+            # Domain values are pairwise distinct, so `index` finds the only
+            # candidate; it must also match the value's type.
+            code = decl.domain.index(value) if value in decl.domain else None
+            if code is None or type(decl.domain[code]) is not type(value):
                 raise DomainError(
                     f"value {value!r} for {decl.name}[{key}] is outside the "
                     f"declared domain {decl.domain!r}"
-                ) from None
+                )
             codes.append(code)
-            items.append((key, value))
+            items.append((key, decl.domain[code]))
+        if len(var_map) != len(decl.keys):
+            # Every declared key is present and keys are distinct, so some
+            # key is undeclared.
+            key = next(k for k in var_map if k not in decl.keys)
+            raise DomainError(f"assignment for {decl.name!r} has undeclared key {key!r}")
         decoded.append((decl.name, tuple(items)))
     return State(bytes(codes), tuple(decoded))
 
@@ -420,22 +428,3 @@ def check(system: TransitionSystem,
 
     return report(Verdict.PASS)
 
-
-def reachable_stats(system: TransitionSystem,
-                    max_states: int = 1_000_000) -> tuple[int, int, int]:
-    """Exploration statistics with invariant checking disabled.
-
-    Returns (distinct_states, transitions, diameter); never reports a
-    violation. Raises :class:`LimitExceededError` carrying the partial
-    counts when the state limit is hit, and re-raises
-    :class:`KeyboardInterrupt` rather than return partial counts.
-    """
-    rep = check(system, CheckOptions(max_states=max_states, check_invariants=False))
-    if rep.verdict is Verdict.INTERRUPTED:
-        raise KeyboardInterrupt
-    if rep.verdict is Verdict.LIMIT_EXCEEDED:
-        raise LimitExceededError(
-            f"state limit of {max_states} exceeded while exploring {system.name!r}",
-            rep.distinct_states, rep.transitions, rep.diameter,
-        )
-    return rep.distinct_states, rep.transitions, rep.diameter

@@ -34,21 +34,17 @@ _DIGITS = set("0123456789")
 
 
 class ScenarioError(CheckerError):
-    """A located finding about a scenario, fatal or advisory.
+    """A defect in scenario text, located at 1-based line and column.
 
-    `kind` is "syntax" or "semantic"; `severity` is "error" or "warning".
-    Line and column are 1-based; structural checks on an already-built
-    ScenarioDef report 0:0 because there is no source text to point into.
+    `kind` is "syntax" or "semantic".
     """
 
-    def __init__(self, message: str, line: int = 0, column: int = 0,
-                 kind: str = SEMANTIC, severity: str = "error"):
+    def __init__(self, message: str, line: int, column: int, kind: str = SEMANTIC):
         super().__init__(message)
         self.message = message
         self.line = line
         self.column = column
         self.kind = kind
-        self.severity = severity
 
     def __str__(self):
         return f"{self.line}:{self.column}: {self.kind}: {self.message}"
@@ -315,42 +311,14 @@ def render_scenario(scenario: ScenarioDef) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_semantics(scenario: ScenarioDef) -> list[ScenarioError]:
-    """Structural checks on an already-built definition.
+def validate_semantics(scenario: ScenarioDef) -> list[str]:
+    """Advisories on a scenario that is otherwise valid: each name an app
+    requests but no app declares, which can never be granted.
 
-    Returns findings rather than raising; errors make the definition
-    unusable, warnings flag suspicious but runnable scenarios (a requested
-    name no app declares can never be granted). Findings carry no source
-    location because there is no source."""
-    findings: list[ScenarioError] = []
-    if scenario.model_name not in model_names():
-        findings.append(ScenarioError(f"unknown model {scenario.model_name!r}"))
-        return findings
-    info = get_model(scenario.model_name)
-
-    if "apps" in info.params:
-        if scenario.params.get("apps", 0) < 1:
-            findings.append(ScenarioError(
-                f"model {info.name} requires an 'apps' parameter of at least 1"))
-    else:
-        if not scenario.app_specs:
-            findings.append(ScenarioError(
-                f"model {info.name} requires at least one app"))
-        ids = [a.id for a in scenario.app_specs]
-        for dup in sorted({i for i in ids if ids.count(i) > 1}):
-            findings.append(ScenarioError(f"duplicate app id {dup!r}"))
-        declared = {d.name for a in scenario.app_specs for d in a.declares}
-        for app in scenario.app_specs:
-            for name in app.requests:
-                if name not in declared:
-                    findings.append(ScenarioError(
-                        f"app {app.id!r} requests {name!r}, which no app declares",
-                        severity="warning"))
-
-    for name in scenario.check_list:
-        if name not in info.invariants:
-            findings.append(ScenarioError(
-                f"model {info.name} has no invariant named {name!r}"))
-    if scenario.max_states < 1:
-        findings.append(ScenarioError("max_states must be at least 1"))
-    return findings
+    Defects are not reported here: :func:`parse_scenario` rejects them in
+    scenario text, and building or checking the system rejects them in a
+    directly constructed definition."""
+    declared = {d.name for a in scenario.app_specs for d in a.declares}
+    return [f"app {app.id!r} requests {name!r}, which no app declares"
+            for app in scenario.app_specs for name in app.requests
+            if name not in declared]

@@ -109,12 +109,18 @@ class TestCheckCommand:
         assert err == ""
 
     def test_undeclared_request_warning_goes_to_stderr(self, run_cli, tmp_path):
+        # One line per undeclared request: apps in file order, an app's
+        # requests by name ascending.
         scn = tmp_path / "warn.scn"
         scn.write_text("model custom_permissions\n"
-                       "app only { request Ghost }\ncheck escalation_free\n")
+                       "app zed { request Zeta }\n"
+                       "app amy { declare P level normal\n"
+                       "          request P request Hex request Ghost }\n")
         code, out, err = run_cli("check", str(scn))
         assert code == 0
-        assert "warning" in err and "Ghost" in err
+        assert err == "".join(
+            f"{scn}: warning: app {app!r} requests {name!r}, which no app declares\n"
+            for app, name in (("zed", "Zeta"), ("amy", "Ghost"), ("amy", "Hex")))
         assert "warning" not in out
 
 

@@ -279,3 +279,12 @@ class TestSystemPackaging:
     def test_colon_in_app_id_is_rejected(self):
         with pytest.raises(ConfigurationError):
             custom.build_system((AppSpec("a:b"),))
+
+    def test_empty_app_id_is_rejected(self):
+        # "" already stands for an unclaimed name in the registry's definer
+        # variable; a second "" would make the encoding ambiguous.
+        apps = (AppSpec("", (PermissionDeclaration("P", "normal"),), ("P",)),
+                AppSpec("v", (PermissionDeclaration("P", "dangerous"),)))
+        with pytest.raises(ConfigurationError,
+                           match="variable 'registryDefiner' repeats domain value ''"):
+            custom.build_system(apps)

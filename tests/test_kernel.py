@@ -7,12 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from apscheck.errors import (
-    ConfigurationError,
-    DomainError,
-    LimitExceededError,
-    ModelIntegrityError,
-)
+from apscheck.errors import ConfigurationError, DomainError, ModelIntegrityError
 from apscheck.kernel import (
     ActionLabel,
     CheckOptions,
@@ -21,7 +16,6 @@ from apscheck.kernel import (
     Verdict,
     canonical_encode,
     check,
-    reachable_stats,
     reconstruct_trace,
 )
 
@@ -93,6 +87,35 @@ class TestCanonicalEncode:
         with pytest.raises(ConfigurationError, match="'x' has 257 domain values"):
             VariableDecl("x", ("k",), tuple(range(257)))
 
+    @pytest.mark.parametrize("assignment,problem", [
+        ({"x": {"a1": "", "a2": ""}, "y": {"a1": 0, "a2": 0}, "z": {}},
+         "undeclared variable 'z'"),
+        ({"x": {"a1": "", "a2": "", "a3": ""}, "y": {"a1": 0, "a2": 0}},
+         "'x' has undeclared key 'a3'"),
+        ({"x": {"a1": "", "a2": ""}, "y": {"a1": 0, "a2": False}}, r"False for y\[a2\]"),
+        ({"x": {"a1": "", "a2": ""}, "y": {"a1": True, "a2": 0}}, r"True for y\[a1\]"),
+        ({"x": {"a1": "", "a2": ""}, "y": {"a1": 1.0, "a2": 0}}, r"1.0 for y\[a1\]"),
+    ], ids=["undeclared variable", "undeclared key", "False", "True", "1.0"])
+    def test_only_declared_slots_of_the_domain_type_encode(self, assignment, problem):
+        with pytest.raises(DomainError, match=problem):
+            canonical_encode(self.decls, assignment)
+
+    def test_state_holds_the_domain_values_themselves(self):
+        # Equal but distinct objects: a built string and a large integer.
+        decls = (VariableDecl("x", ("k",), ("".join(["NO", "R"]), 10**20)),)
+        for value, domain_value in zip(("NOR", int("1" + "0" * 20)), decls[0].domain):
+            assert value == domain_value and value is not domain_value
+            state = canonical_encode(decls, {"x": {"k": value}})
+            assert state.as_dict()["x"]["k"] is domain_value
+
+    @pytest.mark.parametrize("keys,domain,repeated", [
+        (("a", "b", "a"), (0, 1), "key 'a'"),
+        (("a", "b"), ("", "v", ""), "domain value ''"),
+    ], ids=["repeated key", "repeated value"])
+    def test_repeated_keys_and_domain_values_are_rejected(self, keys, domain, repeated):
+        with pytest.raises(ConfigurationError, match=f"variable 'x' repeats {repeated}"):
+            VariableDecl("x", keys, domain)
+
     def test_encoding_is_one_byte_per_slot(self):
         assignment = {"x": {"a1": "DAN", "a2": "NOR"}, "y": {"a1": 1, "a2": 0}}
         state = canonical_encode(self.decls, assignment)
@@ -154,7 +177,7 @@ class TestCheck:
         system = graph_system(edges, ["a"],
                               invariants=(("safe", lambda n: n != "bad"),))
         trace = check(system).trace
-        safe = lambda st: st.value("node", "v") != "bad"
+        safe = lambda st: st.as_dict()["node"]["v"] != "bad"
         assert all(safe(step.state) for step in trace.steps[:-1])
         assert not safe(trace.final_state)
 
@@ -256,7 +279,7 @@ class TestReconstructTrace:
         assert len(trace) == 3
         assert [s.label.name for s in trace.steps[1:]] == ["one", "two", "three"]
         assert [s.state.encoding for s in trace.steps] == states
-        assert [s.state.value("node", "v") for s in trace.steps] == list("abcd")
+        assert [s.state.as_dict()["node"]["v"] for s in trace.steps] == list("abcd")
 
     def test_only_the_ancestors_of_the_violating_state_are_walked(self):
         # a is the root of two branches, a -> b and a -> c -> d.
@@ -264,33 +287,25 @@ class TestReconstructTrace:
         labels = [None, ActionLabel("ab"), ActionLabel("ac"), ActionLabel("cd")]
         trace = reconstruct_trace(self.system, states, array("q", [-1, 0, 0, 2]),
                                   labels, 3, "inv")
-        assert [s.state.value("node", "v") for s in trace.steps] == ["a", "c", "d"]
+        assert [s.state.as_dict()["node"]["v"] for s in trace.steps] == ["a", "c", "d"]
         assert [s.label for s in trace.steps] == [None, labels[2], labels[3]]
 
 
 class TestReachableStats:
+    """Reachability statistics: `check` with invariants off, as the CLI's
+    `--stats-only` runs it."""
+
+    def stats(self, system):
+        rep = check(system, CheckOptions(check_invariants=False))
+        return rep.verdict, rep.distinct_states, rep.transitions, rep.diameter
+
     def test_single_state_system(self):
-        assert reachable_stats(graph_system({}, ["s"])) == (1, 0, 0)
+        assert self.stats(graph_system({}, ["s"])) == (Verdict.PASS, 1, 0, 0)
 
     def test_invariants_are_ignored(self):
         system = graph_system({"a": [("go", "b")]}, ["a"],
                               invariants=(("nothing", lambda n: False),))
-        assert reachable_stats(system) == (2, 1, 1)
-
-    def test_limit_raises_with_partial_counts(self):
-        edges = {"a": [("l", "b"), ("r", "c")]}
-        with pytest.raises(LimitExceededError) as exc:
-            reachable_stats(graph_system(edges, ["a"]), max_states=1)
-        assert exc.value.distinct_states == 1
-
-    def test_interrupt_is_re_raised_not_reported_as_complete(self):
-        base = graph_system({"a": [("go", "b")]}, ["a"])
-
-        def successors(state):
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            reachable_stats(replace(base, successors=successors))
+        assert self.stats(system) == (Verdict.PASS, 2, 1, 1)
 
     def test_monotone_diameter_in_the_state_limit(self):
         edges = {"a": [("l", "b"), ("r", "c")], "b": [("m", "d")],

@@ -8,7 +8,9 @@ import string
 
 import pytest
 
-from apscheck.models import AppSpec, PermissionDeclaration
+from apscheck.errors import ConfigurationError
+from apscheck.kernel import CheckOptions, check
+from apscheck.models import AppSpec, PermissionDeclaration, build_system
 from apscheck.scenario import (
     DEFAULT_MAX_STATES,
     ScenarioDef,
@@ -191,34 +193,44 @@ class TestValidateSemantics:
         d = parse_scenario("model aps_cs1\napps 1\n")
         assert validate_semantics(d) == []
 
-    def test_duplicate_app_id_is_one_error(self):
-        d = ScenarioDef(
-            model_name="custom_permissions",
-            app_specs=(AppSpec("m"), AppSpec("m")),
-            check_list=("escalation_free",),
-        )
-        errors = [f for f in validate_semantics(d) if f.severity == "error"]
-        assert len(errors) == 1
-        assert "duplicate app id" in errors[0].message
-
     def test_request_of_undeclared_name_is_a_warning(self):
         d = ScenarioDef(
             model_name="custom_permissions",
-            app_specs=(AppSpec("m", (), ("Ghost",)),),
+            app_specs=(AppSpec("m", (PermissionDeclaration("P", "normal"),),
+                               ("Ghost", "P")),),
             check_list=("escalation_free",),
         )
-        findings = validate_semantics(d)
-        assert [f.severity for f in findings] == ["warning"]
-        assert "Ghost" in findings[0].message
+        assert validate_semantics(d) == [
+            "app 'm' requests 'Ghost', which no app declares"]
 
-    def test_unknown_model_is_reported(self):
-        findings = validate_semantics(ScenarioDef(model_name="zzz"))
-        assert findings and findings[0].severity == "error"
 
-    def test_unknown_invariant_is_reported(self):
-        d = ScenarioDef(model_name="aps_cs1", params={"apps": 1},
-                        check_list=("Nope",))
-        assert any("Nope" in f.message for f in validate_semantics(d))
+class TestDirectDefinitions:
+    """A ScenarioDef built without the parser meets the same rules when
+    its system is built and checked."""
+
+    @pytest.mark.parametrize("definition,problem", [
+        (ScenarioDef(model_name="zzz"), "unknown model 'zzz'"),
+        (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)),
+         "requires the 'apps' parameter"),
+        (ScenarioDef(model_name="aps_cs1", params={"apps": 0},
+                     check_list=("ApsTypeOK",)), "at least one app"),
+        (ScenarioDef(model_name="custom_permissions",
+                     check_list=("escalation_free",)), "at least one app"),
+        (ScenarioDef(model_name="custom_permissions",
+                     app_specs=(AppSpec("m"), AppSpec("m")),
+                     check_list=("escalation_free",)), "app ids must be unique"),
+        (ScenarioDef(model_name="aps_cs1", params={"apps": 1}, check_list=("Nope",)),
+         "no invariant named 'Nope'"),
+        (ScenarioDef(model_name="aps_cs1", params={"apps": 1},
+                     check_list=("ApsTypeOK",), max_states=0),
+         "max_states must be at least 1"),
+    ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
+            "custom without apps", "duplicate app ids", "unknown invariant",
+            "max_states 0"])
+    def test_rejected_when_built_or_checked(self, definition, problem):
+        with pytest.raises(ConfigurationError, match=problem):
+            check(build_system(definition),
+                  CheckOptions(max_states=definition.max_states))
 
 
 class TestTotality:
@@ -231,7 +243,7 @@ class TestTotality:
             try:
                 result = parse_scenario(source)
             except ScenarioError as err:
-                assert err.line >= 1 or (err.line, err.column) == (0, 0)
+                assert err.line >= 1 and err.column >= 1
             else:
                 assert isinstance(result, ScenarioDef)
 
