@@ -25,7 +25,6 @@ from .kernel import (
     Verdict,
     canonical_encode,
     check,
-    reconstruct_trace,
 )
 from .models import (
     AppSpec,
@@ -73,7 +72,6 @@ __all__ = [
     "get_model",
     "model_names",
     "parse_scenario",
-    "reconstruct_trace",
     "render_scenario",
     "render_structured",
     "render_text",

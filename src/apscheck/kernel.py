@@ -32,8 +32,41 @@ MAX_DOMAIN_SIZE = 256
 _SLOT_REPEAT = b"{%d}+" if sys.version_info >= (3, 11) else b"{%d}"
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class Record:
+    """Immutable record: `__slots__` names the fields in order, and records
+    of one class compare and hash by field values, as frozen dataclasses do,
+    but without generating code when the class is created."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return (self._values() == other._values() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class VariableDecl(Record):
     """One model variable: a total map from `keys` into `domain`.
 
     Keys are typically app identifiers, but any fixed, ordered index set
@@ -43,22 +76,19 @@ class VariableDecl:
     nor domain values may repeat: each value has exactly one code.
     """
 
-    name: str
-    keys: tuple[str, ...]
-    domain: tuple
+    __slots__ = ("name", "keys", "domain")
 
-    def __post_init__(self):
-        if len(self.domain) > MAX_DOMAIN_SIZE:
+    def __init__(self, name: str, keys: tuple[str, ...], domain: tuple):
+        if len(domain) > MAX_DOMAIN_SIZE:
             raise ConfigurationError(
-                f"variable {self.name!r} has {len(self.domain)} domain values; "
-                f"the one-byte-per-slot state encoding holds at most "
-                f"{MAX_DOMAIN_SIZE}"
-            )
-        for what, values in (("key", self.keys), ("domain value", self.domain)):
+                f"variable {name!r} has {len(domain)} domain values; the one-byte-"
+                f"per-slot state encoding holds at most {MAX_DOMAIN_SIZE}")
+        for what, values in (("key", keys), ("domain value", domain)):
             if len(set(values)) < len(values):
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise ConfigurationError(
-                    f"variable {self.name!r} repeats {what} {repeated!r}")
+                    f"variable {name!r} repeats {what} {repeated!r}")
+        super().__init__(name, keys, domain)
 
 
 def variable_slices(variables: Sequence[VariableDecl]) -> tuple[slice, ...]:
@@ -101,8 +131,7 @@ class State:
         return f"State({self.as_dict()!r})"
 
 
-@dataclass(frozen=True)
-class ActionLabel:
+class ActionLabel(NamedTuple):
     """Names the atomic action that produced a transition, with its
     parameter values in a fixed order (the acting app first)."""
 
@@ -262,13 +291,11 @@ class TraceStep(NamedTuple):
     label: Optional[ActionLabel]  # None only on the initial state
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Minimal-length labeled path from an initial state to the state that
     violates `violated_invariant`."""
 
-    steps: tuple[TraceStep, ...]
-    violated_invariant: str
+    __slots__ = ("steps", "violated_invariant")  # tuple[TraceStep, ...], str
 
     def __len__(self) -> int:
         # Number of labeled steps, i.e. actions taken.
@@ -286,14 +313,12 @@ class Verdict(Enum):
     INTERRUPTED = "interrupted"
 
 
-@dataclass(frozen=True)
-class CheckOptions:
+class CheckOptions(NamedTuple):
     max_states: int = 1_000_000
     check_invariants: bool = True
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one exploration run.
 
     `diameter` is the maximum breadth-first depth of any discovered state;
@@ -312,7 +337,7 @@ class CheckReport:
 
     @property
     def violated_invariant(self) -> Optional[str]:
-        return self.trace.violated_invariant if self.trace else None
+        return self.trace.violated_invariant if self.trace is not None else None
 
 
 def reconstruct_trace(system: TransitionSystem, states: Sequence[bytes],

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ..errors import ConfigurationError
 from ..kernel import TransitionSystem
@@ -22,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelInfo:
+class ModelInfo(NamedTuple):
     name: str
     params: tuple[str, ...]
     invariants: tuple[str, ...]
@@ -33,11 +31,16 @@ class ModelInfo:
 def _build_cs1(params: Mapping[str, int], apps: Sequence[AppSpec]) -> TransitionSystem:
     if "apps" not in params:
         raise ConfigurationError("model aps_cs1 requires the 'apps' parameter")
+    if apps:
+        raise ConfigurationError("app blocks are not valid for model aps_cs1")
     return cs1.build_system(params["apps"])
 
 
 def _build_custom(params: Mapping[str, int],
                   apps: Sequence[AppSpec]) -> TransitionSystem:
+    if params:
+        raise ConfigurationError(
+            f"{next(iter(params))!r} is not valid for model custom_permissions")
     return custom.build_system(apps)
 
 

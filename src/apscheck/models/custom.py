@@ -15,11 +15,10 @@ definer second reaches that situation in three steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..kernel import (ActionLabel, TransitionSystem, VariableDecl,
+from ..kernel import (ActionLabel, Record, TransitionSystem, VariableDecl,
                       canonical_encode, variable_slices)
 
 NORMAL = "normal"
@@ -44,43 +43,35 @@ _AUTO, _CONSENT, _DENIED = (bytes([_GRANT_MODES.index(m)])
                             for m in (AUTO, CONSENT, DENIED))
 
 
-@dataclass(frozen=True)
-class PermissionDeclaration:
-    name: str
-    level: str
+class PermissionDeclaration(Record):
+    __slots__ = ("name", "level")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, level: str):
+        if not name:
             raise ConfigurationError("permission name must be non-empty")
-        if self.level not in PROTECTION_LEVELS:
+        if level not in PROTECTION_LEVELS:
             raise ConfigurationError(
-                f"protection level must be one of {PROTECTION_LEVELS}, "
-                f"not {self.level!r}"
-            )
+                f"protection level must be one of {PROTECTION_LEVELS}, not {level!r}")
+        super().__init__(name, level)
 
 
-@dataclass(frozen=True)
-class AppSpec:
+class AppSpec(Record):
     """An app's closed-world interface: what it declares and may request.
 
     Declarations and requests are normalized to name-ascending tuples so
     structurally equal specs compare equal regardless of construction order.
     """
 
-    id: str
-    declares: tuple[PermissionDeclaration, ...] = ()
-    requests: tuple[str, ...] = ()
+    __slots__ = ("id", "declares", "requests")
 
-    def __post_init__(self):
-        decls = tuple(sorted(self.declares, key=lambda d: d.name))
+    def __init__(self, id: str, declares: tuple[PermissionDeclaration, ...] = (),
+                 requests: tuple[str, ...] = ()):
+        decls = tuple(sorted(declares, key=lambda d: d.name))
         names = [d.name for d in decls]
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
-            raise ConfigurationError(
-                f"app {self.id!r} declares {dup!r} more than once"
-            )
-        object.__setattr__(self, "declares", decls)
-        object.__setattr__(self, "requests", tuple(sorted(set(self.requests))))
+            raise ConfigurationError(f"app {id!r} declares {dup!r} more than once")
+        super().__init__(id, decls, tuple(sorted(set(requests))))
 
 
 def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:

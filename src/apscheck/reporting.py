@@ -7,8 +7,7 @@ is the only field that varies between runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, ReplayDocumentError
 from .kernel import CheckReport, State, TransitionSystem, Verdict
@@ -100,8 +99,7 @@ def render_structured(report: CheckReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     """Outcome of replaying a trace document; truthy exactly when valid.
 
     `divergent_step` is the 1-based number of the first step whose state,

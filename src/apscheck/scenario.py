@@ -17,10 +17,10 @@ defaults to 1,000,000 states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CheckerError
+from .kernel import Record
 from .models import AppSpec, PermissionDeclaration, get_model, model_names
 
 SYNTAX = "syntax"
@@ -50,19 +50,19 @@ class ScenarioError(CheckerError):
         return f"{self.line}:{self.column}: {self.kind}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ScenarioDef:
+class ScenarioDef(Record):
     """A parsed scenario: which model to build and what to check on it."""
 
-    model_name: str
-    params: dict[str, int] = field(default_factory=dict)
-    app_specs: tuple[AppSpec, ...] = ()
-    check_list: tuple[str, ...] = ()
-    max_states: int = DEFAULT_MAX_STATES
+    __slots__ = ("model_name", "params", "app_specs", "check_list", "max_states")
+
+    def __init__(self, model_name: str, params: Optional[dict[str, int]] = None,
+                 app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
+                 max_states: int = DEFAULT_MAX_STATES):
+        super().__init__(model_name, {} if params is None else params,
+                         app_specs, check_list, max_states)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | int | lbrace | rbrace
     text: str
     line: int

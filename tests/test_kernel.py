@@ -171,6 +171,9 @@ class TestCheck:
         assert len(report.trace) == 0
         assert len(report.trace.steps) == 1
         assert report.trace.steps[0].label is None
+        # A zero-action trace has length 0 but still names the invariant.
+        assert report.violated_invariant is not None
+        assert report.violated_invariant == "never_s"
 
     def test_earlier_states_in_trace_satisfy_the_invariant(self):
         edges = {"a": [("x", "b")], "b": [("y", "bad")]}

@@ -1,0 +1,130 @@
+"""The package's value records: immutable, compared and hashed by value,
+picklable, and built without generated dataclass code."""
+
+from __future__ import annotations
+
+import inspect
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from apscheck.errors import ConfigurationError
+from apscheck.kernel import (ActionLabel, CheckOptions, CheckReport, State, Trace,
+                             TraceStep, VariableDecl, Verdict)
+from apscheck.models import AppSpec, ModelInfo, PermissionDeclaration, build_system
+from apscheck.reporting import ReplayResult
+from apscheck.scenario import ScenarioDef, _Token
+
+
+def _trace(invariant="inv"):
+    return Trace((TraceStep(State(b"\x00", (("x", (("k", 0),)),)), None),), invariant)
+
+
+# Per record: a factory of equal instances, one instance that differs in a
+# field, and whether instances hash (a ScenarioDef holds a params dict).
+RECORDS = {
+    "VariableDecl": (lambda: VariableDecl("x", ("a", "b"), (0, 1)),
+                     VariableDecl("x", ("a", "b"), (0, 2)), True),
+    "PermissionDeclaration": (lambda: PermissionDeclaration("P", "normal"),
+                              PermissionDeclaration("P", "dangerous"), True),
+    "AppSpec": (lambda: AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P",)),
+                AppSpec("m", (PermissionDeclaration("P", "normal"),)), True),
+    "ScenarioDef": (lambda: ScenarioDef("aps_cs1", {"apps": 2}, (), ("ApsTypeOK",)),
+                    ScenarioDef("aps_cs1", {"apps": 3}, (), ("ApsTypeOK",)), False),
+    "Trace": (_trace, _trace("other"), True),
+    "ActionLabel": (lambda: ActionLabel("Grant", (("r", "a1"),)),
+                    ActionLabel("Grant", (("r", "a2"),)), True),
+    "CheckOptions": (lambda: CheckOptions(7), CheckOptions(8), True),
+    "CheckReport": (lambda: CheckReport(Verdict.VIOLATION, 1, 0, 0, 0.5, _trace()),
+                    CheckReport(Verdict.VIOLATION, 1, 0, 0, 0.5, _trace("other")),
+                    True),
+    "ReplayResult": (lambda: ReplayResult(False, 2, "differs"),
+                     ReplayResult(False, 3, "differs"), True),
+    "ModelInfo": (lambda: ModelInfo("m", ("apps",), ("I",), build_system),
+                  ModelInfo("m", (), ("I",), build_system), True),
+    "_Token": (lambda: _Token("ident", "model", 1, 1),
+               _Token("ident", "model", 1, 2), True),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_values(name):
+    make, different, hashable = RECORDS[name]
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and not first != second
+    assert first != different
+    if hashable:
+        assert hash(first) == hash(second)
+    field = next(iter(inspect.signature(type(first)).parameters))
+    with pytest.raises(AttributeError):
+        setattr(first, field, None)
+    with pytest.raises(AttributeError):
+        delattr(first, field)
+    assert first == second
+    assert pickle.loads(pickle.dumps(first)) == first
+
+
+def test_records_of_different_classes_are_unequal():
+    assert PermissionDeclaration("P", "normal") != ("P", "normal")
+    assert VariableDecl("x", (), ()) != PermissionDeclaration("x", "normal")
+
+
+def test_repr_names_every_field():
+    assert (repr(PermissionDeclaration("P", "normal"))
+            == "PermissionDeclaration(name='P', level='normal')")
+    assert repr(ActionLabel("Ask")) == "ActionLabel(name='Ask', params=())"
+
+
+def test_scenario_params_default_to_a_fresh_dict():
+    first, second = ScenarioDef("custom_permissions"), ScenarioDef("custom_permissions")
+    assert first.params == {} and first.params is not second.params
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: VariableDecl("x", ("a", "b", "a"), (0, 1)),
+     "variable 'x' repeats key 'a'"),
+    (lambda: VariableDecl("x", ("a",), ("", "v", "")),
+     "variable 'x' repeats domain value ''"),
+    (lambda: VariableDecl("x", ("k",), tuple(range(257))),
+     "variable 'x' has 257 domain values; the one-byte-per-slot state "
+     "encoding holds at most 256"),
+    (lambda: PermissionDeclaration("", "normal"), "permission name must be non-empty"),
+    (lambda: PermissionDeclaration("P", "medium"),
+     "protection level must be one of ('normal', 'dangerous'), not 'medium'"),
+    (lambda: AppSpec("x", (PermissionDeclaration("P", "normal"),
+                           PermissionDeclaration("P", "dangerous"))),
+     "app 'x' declares 'P' more than once"),
+], ids=["repeated key", "repeated value", "257 values", "empty permission name",
+        "unknown level", "duplicate declaration"])
+def test_construction_rules_keep_their_messages(build, message):
+    with pytest.raises(ConfigurationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_app_spec_order_is_normalized():
+    a, b = PermissionDeclaration("A", "dangerous"), PermissionDeclaration("B", "normal")
+    app = AppSpec("x", (b, a), ("q", "p", "q"))
+    assert app.declares == (a, b) and app.requests == ("p", "q")
+    assert app == AppSpec("x", (a, b), ("p", "q"))
+    assert hash(app) == hash(AppSpec("x", (a, b), ("p", "q")))
+
+
+def test_only_the_transition_system_is_a_dataclass(checkout_env):
+    """Frozen dataclasses generate and compile code when their class is
+    created; the CLI's import builds only the one the benchmark tracer
+    rebuilds with `dataclasses.replace`."""
+    script = (
+        "import sys, apscheck.cli\n"
+        "print(sorted(f'{m}.{n}' for m, mod in list(sys.modules.items())\n"
+        "             if m.split('.')[0] == 'apscheck'\n"
+        "             for n, v in vars(mod).items() if isinstance(v, type)\n"
+        "             and v.__module__ == m and '__dataclass_fields__' in vars(v)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=checkout_env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "['apscheck.kernel.TransitionSystem']\n"

@@ -224,9 +224,14 @@ class TestDirectDefinitions:
         (ScenarioDef(model_name="aps_cs1", params={"apps": 1},
                      check_list=("ApsTypeOK",), max_states=0),
          "max_states must be at least 1"),
+        (ScenarioDef("aps_cs1", {"apps": 1}, (AppSpec("m"),), ("ApsTypeOK",)),
+         "^app blocks are not valid for model aps_cs1$"),
+        (ScenarioDef("custom_permissions", {"apps": 3}, (AppSpec("m"),),
+                     ("escalation_free",)),
+         "^'apps' is not valid for model custom_permissions$"),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
             "custom without apps", "duplicate app ids", "unknown invariant",
-            "max_states 0"])
+            "max_states 0", "cs1 with app specs", "custom with apps"])
     def test_rejected_when_built_or_checked(self, definition, problem):
         with pytest.raises(ConfigurationError, match=problem):
             check(build_system(definition),
