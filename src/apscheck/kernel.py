@@ -266,20 +266,15 @@ class TransitionSystem:
         """Raise :class:`ModelIntegrityError`, naming the action that made
         `encoding` (None for an initial state), unless it is a well-formed
         encoding for these declarations."""
-        layout = self._layout
-        length = layout[-1][1].stop if layout else 0
-        problem = None
-        if len(encoding) != length:
+        slots = [(decl, key) for decl in self.variables for key in decl.keys]
+        if len(encoding) != len(slots):
             problem = (f"state encoding has {len(encoding)} slots, "
-                       f"declarations require {length}")
+                       f"declarations require {len(slots)}")
         else:
-            for decl, where in layout:
-                if max(encoding[where], default=-1) >= len(decl.domain):
-                    key, code = next((k, c) for k, c in zip(decl.keys, encoding[where])
-                                     if c >= len(decl.domain))
-                    problem = (f"{decl.name}[{key}] holds code {code}, "
-                               "outside its declared domain")
-                    break
+            problem = next((f"{decl.name}[{key}] holds code {code}, "
+                            "outside its declared domain"
+                            for (decl, key), code in zip(slots, encoding)
+                            if code >= len(decl.domain)), None)
         if problem is not None:
             context = ("initial state" if label is None
                        else f"successor via {label.render()}")

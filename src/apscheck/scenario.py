@@ -17,7 +17,9 @@ defaults to 1,000,000 states.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+import re
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CheckerError
 from .kernel import Record
@@ -28,9 +30,20 @@ SEMANTIC = "semantic"
 
 DEFAULT_MAX_STATES = 1_000_000
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789.")
-_DIGITS = set("0123456789")
+# One alternative per token kind, plus line breaks, comments and any other
+# non-blank character. Letters and digits are ASCII only. Blanks (space,
+# tab, CR) match nothing, so `finditer` skips them.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>[0-9][0-9_]*)"
+    r"|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<comment>#[^\n]*)|(?P<bad>[^ \t\r])")
+
+# Directives that take one value and may appear at most once:
+# name -> (value token kind, what the value is).
+_SINGLE_VALUED = {
+    "model": ("ident", "a model name"),
+    "apps": ("int", "an app count"),
+    "max_states": ("int", "a state limit"),
+}
 
 
 class ScenarioError(CheckerError):
@@ -51,15 +64,23 @@ class ScenarioError(CheckerError):
 
 
 class ScenarioDef(Record):
-    """A parsed scenario: which model to build and what to check on it."""
+    """A parsed scenario: which model to build and what to check on it.
+
+    `params` is a read-only view of a copy of the mapping passed in."""
 
     __slots__ = ("model_name", "params", "app_specs", "check_list", "max_states")
 
-    def __init__(self, model_name: str, params: Optional[dict[str, int]] = None,
+    def __init__(self, model_name: str, params: Optional[Mapping[str, int]] = None,
                  app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
                  max_states: int = DEFAULT_MAX_STATES):
-        super().__init__(model_name, {} if params is None else params,
+        super().__init__(model_name, MappingProxyType(dict(params or {})),
                          app_specs, check_list, max_states)
+
+    def _values(self) -> tuple:
+        # A mapping proxy neither hashes nor pickles; its sorted items do both,
+        # and the constructor accepts them in its place.
+        return (self.model_name, tuple(sorted(self.params.items())), self.app_specs,
+                self.check_list, self.max_states)
 
 
 class _Token(NamedTuple):
@@ -70,66 +91,35 @@ class _Token(NamedTuple):
 
 
 def _tokenize(source: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "{":
-            yield _Token("lbrace", ch, line, col)
-            col += 1
-            i += 1
-        elif ch == "}":
-            yield _Token("rbrace", ch, line, col)
-            col += 1
-            i += 1
-        elif ch in _IDENT_START:
-            start, start_col = i, col
-            while i < n and source[i] in _IDENT_CONT:
-                i += 1
-                col += 1
-            yield _Token("ident", source[start:i], line, start_col)
-        elif ch in _DIGITS:
-            start, start_col = i, col
-            while i < n and (source[i] in _DIGITS or source[i] == "_"):
-                i += 1
-                col += 1
-            yield _Token("int", source[start:i], line, start_col)
-        else:
-            raise ScenarioError(f"unexpected character {ch!r}", line, col, SYNTAX)
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(source):
+        kind = match.lastgroup
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad":
+            raise ScenarioError(f"unexpected character {match.group()!r}",
+                                line, column, SYNTAX)
+        elif kind != "comment":
+            yield _Token(kind, match.group(), line, column)
 
 
 class _TokenStream:
+    """One pass over a source's tokens; iterating and `expect` share it."""
+
     def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+        self._end_line = tokens[-1].line if tokens else 1
+        self._tokens = iter(tokens)
 
-    def peek(self) -> Optional[_Token]:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+    def __iter__(self) -> Iterator[_Token]:
+        return self._tokens
 
-    def next(self) -> Optional[_Token]:
-        tok = self.peek()
-        if tok is not None:
-            self._pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
+    def expect(self, kind: str, what: str, text: Optional[str] = None) -> _Token:
+        tok = next(self._tokens, None)
         if tok is None:
-            last = self._tokens[-1] if self._tokens else None
-            line = last.line if last else 1
             raise ScenarioError(f"expected {what}, found end of input",
-                                line, 1, SYNTAX)
-        if tok.kind != kind:
+                                self._end_line, 1, SYNTAX)
+        if tok.kind != kind or (text is not None and tok.text != text):
             raise ScenarioError(f"expected {what}, found {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)
         return tok
@@ -147,41 +137,27 @@ def parse_scenario(source: str) -> ScenarioDef:
     """Parse scenario text, raising :class:`ScenarioError` at the first
     syntactic or semantic defect. Total: any input string either yields a
     ScenarioDef or raises ScenarioError, never anything else."""
+    # Tokenizing the whole source first makes a lexical error anywhere win
+    # over every other defect.
     stream = _TokenStream(list(_tokenize(source)))
 
-    model_tok: Optional[_Token] = None
-    apps_tok: Optional[_Token] = None
-    apps_value = 0
-    max_tok: Optional[_Token] = None
-    max_value = DEFAULT_MAX_STATES
+    # Each single-valued directive seen: its value token and converted value.
+    single: dict[str, tuple[_Token, object]] = {}
     checks: list[_Token] = []
     blocks: list[tuple[_Token, list[tuple[_Token, str]], list[_Token]]] = []
 
-    while True:
-        tok = stream.next()
-        if tok is None:
-            break
+    for tok in stream:
         if tok.kind != "ident":
             raise ScenarioError(f"expected a directive, found {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)
-        if tok.text == "model":
-            name = stream.expect("ident", "a model name")
-            if model_tok is not None:
-                raise ScenarioError("duplicate 'model' directive",
-                                    name.line, name.column)
-            model_tok = name
-        elif tok.text == "apps":
-            count = stream.expect("int", "an app count")
-            if apps_tok is not None:
-                raise ScenarioError("duplicate 'apps' directive",
-                                    count.line, count.column)
-            apps_tok, apps_value = count, _int_value(count)
-        elif tok.text == "max_states":
-            limit = stream.expect("int", "a state limit")
-            if max_tok is not None:
-                raise ScenarioError("duplicate 'max_states' directive",
-                                    limit.line, limit.column)
-            max_tok, max_value = limit, _int_value(limit)
+        if tok.text in _SINGLE_VALUED:
+            kind, what = _SINGLE_VALUED[tok.text]
+            value_tok = stream.expect(kind, what)
+            if tok.text in single:
+                raise ScenarioError(f"duplicate {tok.text!r} directive",
+                                    value_tok.line, value_tok.column)
+            single[tok.text] = (value_tok, _int_value(value_tok) if kind == "int"
+                                else value_tok.text)
         elif tok.text == "check":
             checks.append(stream.expect("ident", "an invariant name"))
         elif tok.text == "app":
@@ -189,6 +165,9 @@ def parse_scenario(source: str) -> ScenarioDef:
         else:
             raise ScenarioError(f"unknown directive {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)
+    model_tok, _ = single.get("model", (None, None))
+    apps_tok, apps_value = single.get("apps", (None, 0))
+    max_tok, max_value = single.get("max_states", (None, DEFAULT_MAX_STATES))
 
     # Semantic resolution, every finding located in the source.
     if model_tok is None:
@@ -219,24 +198,20 @@ def parse_scenario(source: str) -> ScenarioDef:
             raise ScenarioError(f"model {info.name} requires at least one app block",
                                 model_tok.line, model_tok.column)
 
-    app_specs = []
-    seen_ids: set[str] = set()
+    app_specs: dict[str, AppSpec] = {}
     for id_tok, declares, requests in blocks:
-        if id_tok.text in seen_ids:
+        if id_tok.text in app_specs:
             raise ScenarioError(f"duplicate app id {id_tok.text!r}",
                                 id_tok.line, id_tok.column)
-        seen_ids.add(id_tok.text)
-        decl_names: set[str] = set()
-        decl_objs = []
+        decls: dict[str, PermissionDeclaration] = {}
         for name_tok, level in declares:
-            if name_tok.text in decl_names:
+            if name_tok.text in decls:
                 raise ScenarioError(
                     f"app {id_tok.text!r} declares {name_tok.text!r} more than once",
                     name_tok.line, name_tok.column)
-            decl_names.add(name_tok.text)
-            decl_objs.append(PermissionDeclaration(name_tok.text, level))
-        app_specs.append(AppSpec(id_tok.text, tuple(decl_objs),
-                                 tuple(t.text for t in requests)))
+            decls[name_tok.text] = PermissionDeclaration(name_tok.text, level)
+        app_specs[id_tok.text] = AppSpec(id_tok.text, tuple(decls.values()),
+                                         tuple(t.text for t in requests))
 
     for check_tok in checks:
         if check_tok.text not in info.invariants:
@@ -252,7 +227,7 @@ def parse_scenario(source: str) -> ScenarioDef:
     return ScenarioDef(
         model_name=info.name,
         params=params,
-        app_specs=tuple(app_specs),
+        app_specs=tuple(app_specs.values()),
         check_list=check_list,
         max_states=max_value,
     )
@@ -263,11 +238,7 @@ def _parse_app_block(stream: _TokenStream):
     stream.expect("lbrace", "'{'")
     declares: list[tuple[_Token, str]] = []
     requests: list[_Token] = []
-    while True:
-        tok = stream.next()
-        if tok is None:
-            raise ScenarioError(f"unterminated app block for {id_tok.text!r}",
-                                id_tok.line, id_tok.column, SYNTAX)
+    for tok in stream:
         if tok.kind == "rbrace":
             return id_tok, declares, requests
         if tok.kind != "ident" or tok.text not in ("declare", "request"):
@@ -276,10 +247,7 @@ def _parse_app_block(stream: _TokenStream):
                 tok.line, tok.column, SYNTAX)
         if tok.text == "declare":
             name_tok = stream.expect("ident", "a permission name")
-            kw = stream.expect("ident", "'level'")
-            if kw.text != "level":
-                raise ScenarioError(f"expected 'level', found {kw.text!r}",
-                                    kw.line, kw.column, SYNTAX)
+            stream.expect("ident", "'level'", "level")
             level_tok = stream.expect("ident", "a protection level")
             if level_tok.text not in ("normal", "dangerous"):
                 raise ScenarioError(
@@ -288,6 +256,8 @@ def _parse_app_block(stream: _TokenStream):
             declares.append((name_tok, level_tok.text))
         else:
             requests.append(stream.expect("ident", "a permission name"))
+    raise ScenarioError(f"unterminated app block for {id_tok.text!r}",
+                        id_tok.line, id_tok.column, SYNTAX)
 
 
 def render_scenario(scenario: ScenarioDef) -> str:

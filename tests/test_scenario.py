@@ -164,6 +164,27 @@ class TestParseErrors:
         err = parse_error("model aps_cs1\napps")
         assert err.kind == "syntax"
 
+    @pytest.mark.parametrize("source,report", [
+        ("model\t$", "1:7: syntax: unexpected character '$'"),
+        ("model aps_cs1\r\n$", "2:1: syntax: unexpected character '$'"),
+        ("model aps_cs1\napps 1\x0b", "2:7: syntax: unexpected character '\\x0b'"),
+        ("model ap\u00e9", "1:9: syntax: unexpected character '\u00e9'"),
+        ("frobnicate\n$", "2:1: syntax: unexpected character '$'"),
+        ("apps 1__0\nfrobnicate", "1:6: syntax: malformed integer '1__0'"),
+        ("frobnicate\napps 1__0", "1:1: syntax: unknown directive 'frobnicate'"),
+        ("apps 1\napps 2_", "2:6: semantic: duplicate 'apps' directive"),
+        ("model custom_permissions\napp m { declare P lvl normal }",
+         "2:19: syntax: expected 'level', found 'lvl'"),
+        ("model custom_permissions\napp m { declare P { normal }",
+         "2:19: syntax: expected 'level', found '{'"),
+        ("model aps_cs1 apps", "1:1: syntax: expected an app count, found end of input"),
+    ], ids=["tab is blank", "CR is blank", "vertical tab is not blank",
+            "identifiers are ASCII", "lexical error wins", "malformed integer read first",
+            "unknown directive read first", "duplicate before malformed integer",
+            "level keyword", "level keyword, not a brace", "end of input"])
+    def test_lexical_rules_and_which_error_wins(self, source, report):
+        assert str(parse_error(source)) == report
+
 
 class TestRoundTrip:
     def test_cs1_round_trip(self):
