@@ -33,6 +33,13 @@ _NOR_CODE = PERM_LEVELS.index(NOR)
 _DAN_CODE = PERM_LEVELS.index(DAN)
 _NOR, _DAN, _INSTALLED = bytes([_NOR_CODE]), bytes([_DAN_CODE]), bytes([1])
 
+# Encodings of at most this many bytes (21 apps) build successors by integer
+# arithmetic; wider ones splice bytes. Per successor, the addition and
+# `to_bytes` beat splicing up to about 100 bytes, but the tables hold
+# width-sized integers for every app, which slows the build and the first
+# states of wide systems.
+_ARITHMETIC_WIDTH = 64
+
 
 def app_ids(app_count: int) -> tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(app_count))
@@ -70,7 +77,31 @@ def build_system(app_count: int) -> TransitionSystem:
          ActionLabel("Ask", (("r", rid), ("p", DAN))),
          ActionLabel("Grant", (("r", rid),)))
         for r, rid in enumerate(ids))
+    if len(initial) <= _ARITHMETIC_WIDTH:
+        successors = _adding_successors(actions, installed, nothing_installed,
+                                        len(initial))
+    else:
+        successors = _splicing_successors(actions, installed, nothing_installed)
 
+    def type_ok(s: bytes) -> bool:
+        return (max(s[asked]) < len(PERM_LEVELS)
+                and max(s[granted]) < len(PERM_LEVELS)
+                and max(s[installed]) < 2)
+
+    def consistent(s: bytes) -> bool:
+        """No app that asked for NOR may hold DAN."""
+        return (_NOR_CODE, _DAN_CODE) not in zip(s[asked], s[granted])
+
+    return TransitionSystem(
+        name=MODEL_NAME,
+        variables=decls,
+        initial_states=(initial,),
+        successors=successors,
+        invariants=(("ApsTypeOK", type_ok), ("ApsConsistent", consistent)),
+    )
+
+
+def _splicing_successors(actions, installed: slice, nothing_installed: bytes):
     def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
         """Enabled actions per app ascending: InstallOrder, Ask NOR, Ask DAN,
         Grant. Self-loop successors (re-asking the same level, re-granting)
@@ -94,19 +125,41 @@ def build_system(app_count: int) -> TransitionSystem:
                             s if s[g] == _DAN_CODE else s[:g] + _DAN + s[g + 1:]))
         return out
 
-    def type_ok(s: bytes) -> bool:
-        return (max(s[asked]) < len(PERM_LEVELS)
-                and max(s[granted]) < len(PERM_LEVELS)
-                and max(s[installed]) < 2)
+    return successors
 
-    def consistent(s: bytes) -> bool:
-        """No app that asked for NOR may hold DAN."""
-        return (_NOR_CODE, _DAN_CODE) not in zip(s[asked], s[granted])
 
-    return TransitionSystem(
-        name=MODEL_NAME,
-        variables=decls,
-        initial_states=(initial,),
-        successors=successors,
-        invariants=(("ApsTypeOK", type_ok), ("ApsConsistent", consistent)),
-    )
+def _adding_successors(actions, installed: slice, nothing_installed: bytes,
+                       width: int):
+    """The successors `_splicing_successors` gives, computed on the state
+    read as one big-endian integer: each successor is one addition, from
+    tables indexed by the written slot's current code, and one `to_bytes`.
+    A zero addition is a self-loop, emitted as `s` itself. Only well-formed
+    encodings reach `successors`, so every code indexes its table."""
+    changes = []
+    for action in actions:
+        a, g, i = action[:3]
+        # A slot's place value, and what writing NOR (code 1) or DAN (code 2)
+        # adds when the slot holds code 0, 1 or 2.
+        wa, wg = 1 << 8 * (width - 1 - a), 1 << 8 * (width - 1 - g)
+        changes.append(action + (1 << 8 * (width - 1 - i), (wa, 0, -wa),
+                                 (2 * wa, wa, 0), (2 * wg, wg, 0)))
+
+    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
+        can_install = s[installed] == nothing_installed
+        n = int.from_bytes(s, "big")
+        out = []
+        for (a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l,
+             install, ask_nor, ask_dan, grant) in changes:
+            if can_install:
+                out.append((install_l, (n + install).to_bytes(width, "big")))
+            level = s[a]
+            d = ask_nor[level]
+            out.append((ask_nor_l, (n + d).to_bytes(width, "big") if d else s))
+            d = ask_dan[level]
+            out.append((ask_dan_l, (n + d).to_bytes(width, "big") if d else s))
+            if level == _NOR_CODE or s[i] == 1:
+                d = grant[s[g]]
+                out.append((grant_l, (n + d).to_bytes(width, "big") if d else s))
+        return out
+
+    return successors

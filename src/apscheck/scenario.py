@@ -108,7 +108,9 @@ class _TokenStream:
     """One pass over a source's tokens; iterating and `expect` share it."""
 
     def __init__(self, tokens: list[_Token]):
-        self._end_line = tokens[-1].line if tokens else 1
+        # End of input is reported one column past the last token.
+        last = tokens[-1] if tokens else _Token("", "", 1, 1)
+        self._end = (last.line, last.column + len(last.text))
         self._tokens = iter(tokens)
 
     def __iter__(self) -> Iterator[_Token]:
@@ -118,7 +120,7 @@ class _TokenStream:
         tok = next(self._tokens, None)
         if tok is None:
             raise ScenarioError(f"expected {what}, found end of input",
-                                self._end_line, 1, SYNTAX)
+                                *self._end, SYNTAX)
         if tok.kind != kind or (text is not None and tok.text != text):
             raise ScenarioError(f"expected {what}, found {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)

@@ -156,6 +156,52 @@ class TestSuccessors:
             assert got == expected
 
 
+def states_within(system, depth: int) -> list[bytes]:
+    """Every state reachable from the initial one in at most `depth` steps."""
+    seen = dict.fromkeys(system.initial_states)
+    level = list(seen)
+    for _ in range(depth):
+        level = list(dict.fromkeys(t for s in level for _, t in system.successors(s)
+                                   if t not in seen))
+        seen.update(dict.fromkeys(level))
+    return list(seen)
+
+
+class TestTwoSuccessorPaths:
+    """Encodings up to `_ARITHMETIC_WIDTH` bytes get their successors by
+    integer arithmetic, wider ones by splicing; forcing the splicing path
+    must give equal lists, with the same successors being `s` itself."""
+
+    @staticmethod
+    def path(system) -> str:
+        return system.successors.__qualname__.split(".")[0]
+
+    def assert_paths_agree(self, monkeypatch, apps, depth):
+        adding = cs1.build_system(apps)
+        monkeypatch.setattr(cs1, "_ARITHMETIC_WIDTH", 0)
+        splicing = cs1.build_system(apps)
+        assert (self.path(adding), self.path(splicing)) == (
+            "_adding_successors", "_splicing_successors")
+        for s in states_within(adding, depth):
+            got, expected = adding.successors(s), splicing.successors(s)
+            assert got == expected
+            assert [t is s for _, t in got] == [t is s for _, t in expected]
+
+    @pytest.mark.parametrize("apps", [1, 2, 3, 4])
+    def test_agree_on_every_reachable_state(self, monkeypatch, apps):
+        # The diameter is 3 × apps (11, 85, 3625 states at apps 1, 2, 4).
+        self.assert_paths_agree(monkeypatch, apps, depth=3 * apps)
+
+    def test_agree_at_the_widest_arithmetic_encoding(self, monkeypatch):
+        assert len(cs1.build_system(21).initial_states[0]) == 63
+        self.assert_paths_agree(monkeypatch, 21, depth=2)
+
+    def test_wider_encodings_splice(self):
+        system = cs1.build_system(22)
+        assert len(system.initial_states[0]) == 66
+        assert self.path(system) == "_splicing_successors"
+
+
 class TestReachability:
     @pytest.mark.parametrize("apps,expected", [
         (1, (11, 35, 3)),

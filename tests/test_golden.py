@@ -1,0 +1,90 @@
+"""Recorded CLI reports: stdout and exit codes must stay byte-identical.
+
+Each case runs `apscheck check` in-process and compares its stdout with
+`tests/golden/<case>.out`, the `elapsed` text and `elapsed_ms` field
+masked on both sides. Replay cases replay a recorded JSON report.
+After an intended change of output, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Scenario sources that are not shipped files; each case writes its own
+# to a temporary file.
+SOURCES = {"cs1_apps4": "model aps_cs1\napps 4\ncheck ApsConsistent\n"}
+
+# case -> (shipped file or SOURCES key, extra arguments, exit code). A
+# `--replay` argument names the golden case whose JSON report is replayed.
+CASES = {
+    "cs1.text": ("cs1.scn", (), 1),
+    "cs1.json": ("cs1.scn", ("--format", "json"), 1),
+    "cs1.stats": ("cs1.scn", ("--stats-only",), 0),
+    "cs1.replay": ("cs1.scn", ("--replay", "cs1.json"), 0),
+    "custom_safe.text": ("custom_safe.scn", (), 0),
+    "custom_safe.json": ("custom_safe.scn", ("--format", "json"), 0),
+    "custom_vuln.text": ("custom_vuln.scn", (), 1),
+    "custom_vuln.json": ("custom_vuln.scn", ("--format", "json"), 1),
+    "custom_vuln.replay": ("custom_vuln.scn", ("--replay", "custom_vuln.json"), 0),
+    "cs1_apps4.text": ("cs1_apps4", (), 1),
+    "cs1_apps4.json": ("cs1_apps4", ("--format", "json"), 1),
+    "cs1_apps4.stats": ("cs1_apps4", ("--stats-only",), 0),
+    "cs1_apps4.replay": ("cs1_apps4", ("--replay", "cs1_apps4.json"), 0),
+}
+
+
+def mask_elapsed(text: str) -> str:
+    return re.sub(r'(elapsed(?:_ms)?"?: )[0-9.]+', r"\1X", text)
+
+
+def argv(case: str, tmp_dir: Path) -> list[str]:
+    """The `check` command line of `case`, writing its scenario to
+    `tmp_dir` when it is not a shipped file."""
+    scenario, extra, _ = CASES[case]
+    if scenario in SOURCES:
+        path = tmp_dir / f"{scenario}.scn"
+        path.write_text(SOURCES[scenario], encoding="utf-8")
+    else:
+        path = SCENARIOS / scenario
+    extra = list(extra)
+    if "--replay" in extra:
+        at = extra.index("--replay") + 1
+        extra[at] = str(GOLDEN / f"{extra[at]}.out")
+    return ["check", str(path), *extra]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, run_cli, tmp_path):
+    code, out, err = run_cli(*argv(case, tmp_path))
+    golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert (code, err) == (CASES[case][2], "")
+    assert mask_elapsed(out) == mask_elapsed(golden)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    from apscheck.cli import main
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # Replay cases read JSON cases, which sort before them.
+        for case in sorted(CASES, key=lambda c: c.endswith(".replay")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv(case, Path(tmp)))
+            if code != CASES[case][2]:
+                sys.exit(f"{case}: exit {code}, expected {CASES[case][2]}")
+            (GOLDEN / f"{case}.out").write_text(out.getvalue(), encoding="utf-8")
+            print(f"wrote {case}.out")

@@ -162,7 +162,7 @@ class TestParseErrors:
 
     def test_truncated_directive_at_end_of_input(self):
         err = parse_error("model aps_cs1\napps")
-        assert err.kind == "syntax"
+        assert (err.line, err.column, err.kind) == (2, 5, "syntax")
 
     @pytest.mark.parametrize("source,report", [
         ("model\t$", "1:7: syntax: unexpected character '$'"),
@@ -177,11 +177,14 @@ class TestParseErrors:
          "2:19: syntax: expected 'level', found 'lvl'"),
         ("model custom_permissions\napp m { declare P { normal }",
          "2:19: syntax: expected 'level', found '{'"),
-        ("model aps_cs1 apps", "1:1: syntax: expected an app count, found end of input"),
+        ("model aps_cs1 apps", "1:19: syntax: expected an app count, found end of input"),
+        ("model custom_permissions\napp m { declare P level",
+         "2:24: syntax: expected a protection level, found end of input"),
     ], ids=["tab is blank", "CR is blank", "vertical tab is not blank",
             "identifiers are ASCII", "lexical error wins", "malformed integer read first",
             "unknown directive read first", "duplicate before malformed integer",
-            "level keyword", "level keyword, not a brace", "end of input"])
+            "level keyword", "level keyword, not a brace", "end of input",
+            "end of input after a keyword"])
     def test_lexical_rules_and_which_error_wins(self, source, report):
         assert str(parse_error(source)) == report
 
