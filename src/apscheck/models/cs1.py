@@ -128,21 +128,28 @@ def _splicing_successors(actions, installed: slice, nothing_installed: bytes):
     return successors
 
 
+def _writes(code: int, place: int) -> tuple[int, int, int]:
+    """What writing level `code` into a slot of place value `place` adds to
+    the state's integer, indexed by the level code the slot holds (one of
+    the three in `PERM_LEVELS`)."""
+    return code * place, (code - 1) * place, (code - 2) * place
+
+
 def _adding_successors(actions, installed: slice, nothing_installed: bytes,
                        width: int):
-    """The successors `_splicing_successors` gives, computed on the state
-    read as one big-endian integer: each successor is one addition, from
-    tables indexed by the written slot's current code, and one `to_bytes`.
-    A zero addition is a self-loop, emitted as `s` itself. Only well-formed
-    encodings reach `successors`, so every code indexes its table."""
+    """`_splicing_successors`, which states the actions and their guards,
+    computed on the state read as one big-endian integer: each successor is
+    one addition, from tables indexed by the written slot's current code,
+    and one `to_bytes`. A zero addition is a self-loop, emitted as `s`
+    itself. Only well-formed encodings reach `successors`, so every code
+    indexes its table."""
     changes = []
     for action in actions:
         a, g, i = action[:3]
-        # A slot's place value, and what writing NOR (code 1) or DAN (code 2)
-        # adds when the slot holds code 0, 1 or 2.
         wa, wg = 1 << 8 * (width - 1 - a), 1 << 8 * (width - 1 - g)
-        changes.append(action + (1 << 8 * (width - 1 - i), (wa, 0, -wa),
-                                 (2 * wa, wa, 0), (2 * wg, wg, 0)))
+        changes.append(action + (1 << 8 * (width - 1 - i),
+                                 _writes(_NOR_CODE, wa), _writes(_DAN_CODE, wa),
+                                 _writes(_DAN_CODE, wg)))
 
     def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
         can_install = s[installed] == nothing_installed
@@ -150,7 +157,7 @@ def _adding_successors(actions, installed: slice, nothing_installed: bytes,
         out = []
         for (a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l,
              install, ask_nor, ask_dan, grant) in changes:
-            if can_install:
+            if can_install:  # the slot holds 0, as nothing is installed
                 out.append((install_l, (n + install).to_bytes(width, "big")))
             level = s[a]
             d = ask_nor[level]
