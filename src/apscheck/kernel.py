@@ -12,12 +12,12 @@ trace of decoded :class:`State` values.
 from __future__ import annotations
 
 import re
-import sys
 import time
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from operator import length_hint
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
@@ -26,10 +26,18 @@ from .errors import ConfigurationError, DomainError, ModelIntegrityError
 MAX_DOMAIN_SIZE = 256
 
 # A variable's slots in the layout pattern: its byte class, repeated once
-# per key. With exact counts, possessive repeats (Python 3.11+) accept the
-# same strings as plain ones but never backtrack: on CPython 3.11 a match is
-# about 40% faster, and the plain form raised the peak RSS of a check.
-_SLOT_REPEAT = b"{%d}+" if sys.version_info >= (3, 11) else b"{%d}"
+# per key. With exact counts, possessive repeats accept the same strings as
+# plain ones but never backtrack: on CPython 3.11 a match is about 40%
+# faster, and the plain form raised the peak RSS of a check.
+_SLOT_REPEAT = b"{%d}+"
+
+# Both built-in models build the successors of encodings of at most this
+# many bytes by integer arithmetic: each is one addition to the state read
+# as a big-endian integer and one `to_bytes`. Wider encodings splice bytes.
+# Per successor, the addition and `to_bytes` beat splicing up to about 100
+# bytes, but the addition tables hold width-sized integers per slot, which
+# slows the build and the first states of wide systems.
+ARITHMETIC_WIDTH = 64
 
 
 class Record:
@@ -369,7 +377,9 @@ def check(system: TransitionSystem,
     state is valid by construction.
 
     A :class:`KeyboardInterrupt` during exploration ends it early with an
-    ``INTERRUPTED`` report carrying the counts so far and no trace.
+    ``INTERRUPTED`` report carrying the counts so far and no trace. Partial
+    reports count exactly the successors consumed, the one being looked at
+    included.
     """
     opts = options or CheckOptions()
     if opts.max_states < 1:
@@ -389,7 +399,12 @@ def check(system: TransitionSystem,
     states: list[bytes] = []
     parents = array("q")
     labels: list[Optional[ActionLabel]] = []
+    add, append_state = seen.add, states.append
+    append_parent, append_label = parents.append, labels.append
+    # Each expansion's successors are counted when it starts; `rest` is
+    # its iterator, whose remaining length a partial report takes back.
     transitions = 0
+    rest = iter(())
     diameter = 0
 
     def report(verdict: Verdict, trace: Optional[Trace] = None) -> CheckReport:
@@ -411,10 +426,10 @@ def check(system: TransitionSystem,
                 continue
             if len(states) >= max_states:
                 return report(Verdict.LIMIT_EXCEEDED)
-            seen.add(state)
-            states.append(state)
-            parents.append(-1)
-            labels.append(None)
+            add(state)
+            append_state(state)
+            append_parent(-1)
+            append_label(None)
 
         depth = 0
         level_end = len(states)
@@ -429,21 +444,25 @@ def check(system: TransitionSystem,
                     trace = reconstruct_trace(system, states, parents, labels,
                                               head, name)
                     return report(Verdict.VIOLATION, trace)
-            for label, successor in successors(state):
-                transitions += 1
+            expansion = successors(state)
+            transitions += len(expansion)
+            rest = iter(expansion)
+            for label, successor in rest:
                 if successor in seen:
                     continue
                 if not well_formed(successor):
                     system._validate_state(successor, label)
                 if len(states) >= max_states:
+                    transitions -= length_hint(rest)
                     return report(Verdict.LIMIT_EXCEEDED)
-                seen.add(successor)
-                states.append(successor)
-                parents.append(head)
-                labels.append(label)
+                add(successor)
+                append_state(successor)
+                append_parent(head)
+                append_label(label)
                 diameter = depth + 1
             head += 1
     except KeyboardInterrupt:
+        transitions -= length_hint(rest)
         return report(Verdict.INTERRUPTED)
 
     return report(Verdict.PASS)

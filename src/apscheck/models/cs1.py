@@ -16,6 +16,7 @@ variant ships here; detecting the flaw is the point.
 
 from __future__ import annotations
 
+from .. import kernel
 from ..errors import ConfigurationError
 from ..kernel import (ActionLabel, TransitionSystem, VariableDecl,
                       canonical_encode, variable_slices)
@@ -32,13 +33,6 @@ INVARIANT_NAMES = ("ApsTypeOK", "ApsConsistent")
 _NOR_CODE = PERM_LEVELS.index(NOR)
 _DAN_CODE = PERM_LEVELS.index(DAN)
 _NOR, _DAN, _INSTALLED = bytes([_NOR_CODE]), bytes([_DAN_CODE]), bytes([1])
-
-# Encodings of at most this many bytes (21 apps) build successors by integer
-# arithmetic; wider ones splice bytes. Per successor, the addition and
-# `to_bytes` beat splicing up to about 100 bytes, but the tables hold
-# width-sized integers for every app, which slows the build and the first
-# states of wide systems.
-_ARITHMETIC_WIDTH = 64
 
 
 def app_ids(app_count: int) -> tuple[str, ...]:
@@ -77,7 +71,7 @@ def build_system(app_count: int) -> TransitionSystem:
          ActionLabel("Ask", (("r", rid), ("p", DAN))),
          ActionLabel("Grant", (("r", rid),)))
         for r, rid in enumerate(ids))
-    if len(initial) <= _ARITHMETIC_WIDTH:
+    if len(initial) <= kernel.ARITHMETIC_WIDTH:  # 21 apps at most
         successors = _adding_successors(actions, installed, nothing_installed,
                                         len(initial))
     else:
@@ -153,20 +147,20 @@ def _adding_successors(actions, installed: slice, nothing_installed: bytes,
 
     def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
         can_install = s[installed] == nothing_installed
-        n = int.from_bytes(s, "big")
+        n = int.from_bytes(s)
         out = []
         for (a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l,
              install, ask_nor, ask_dan, grant) in changes:
             if can_install:  # the slot holds 0, as nothing is installed
-                out.append((install_l, (n + install).to_bytes(width, "big")))
+                out.append((install_l, (n + install).to_bytes(width)))
             level = s[a]
             d = ask_nor[level]
-            out.append((ask_nor_l, (n + d).to_bytes(width, "big") if d else s))
+            out.append((ask_nor_l, (n + d).to_bytes(width) if d else s))
             d = ask_dan[level]
-            out.append((ask_dan_l, (n + d).to_bytes(width, "big") if d else s))
+            out.append((ask_dan_l, (n + d).to_bytes(width) if d else s))
             if level == _NOR_CODE or s[i] == 1:
                 d = grant[s[g]]
-                out.append((grant_l, (n + d).to_bytes(width, "big") if d else s))
+                out.append((grant_l, (n + d).to_bytes(width) if d else s))
         return out
 
     return successors

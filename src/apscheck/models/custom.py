@@ -15,8 +15,10 @@ definer second reaches that situation in three steps.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
+from .. import kernel
 from ..errors import ConfigurationError
 from ..kernel import (ActionLabel, Record, TransitionSystem, VariableDecl,
                       canonical_encode, variable_slices)
@@ -38,9 +40,10 @@ INVARIANT_NAMES = ("escalation_free",)
 _REGISTRY_LEVELS = ("",) + PROTECTION_LEVELS
 _GRANT_MODES = ("", AUTO, CONSENT, DENIED)
 _NORMAL_CODE = _REGISTRY_LEVELS.index(NORMAL)
-_AUTO_CODE = _GRANT_MODES.index(AUTO)
-_AUTO, _CONSENT, _DENIED = (bytes([_GRANT_MODES.index(m)])
-                            for m in (AUTO, CONSENT, DENIED))
+_AUTO_CODE, _CONSENT_CODE, _DENIED_CODE = (_GRANT_MODES.index(m)
+                                           for m in (AUTO, CONSENT, DENIED))
+_AUTO, _CONSENT, _DENIED = (bytes([c])
+                            for c in (_AUTO_CODE, _CONSENT_CODE, _DENIED_CODE))
 
 
 class PermissionDeclaration(Record):
@@ -158,6 +161,9 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
                     out.append((deny_l, head + _DENIED + tail))
         return out
 
+    if len(initial) <= kernel.ARITHMETIC_WIDTH:
+        successors = _adding_successors(plans, install, len(initial))
+
     # Per name some app declares dangerous and some app requests: the
     # installed slots of its dangerous definers and the grant slots of its
     # requests.
@@ -171,10 +177,20 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         requested.setdefault(n, []).append(slot)
     watched = tuple((definers[n], requested[n]) for n in names
                     if n in definers and n in requested)
+    # The codes of every watched grant slot, read in one call: a tuple, or
+    # bytes for zero slots or one, as `itemgetter` of one index would
+    # return a bare int.
+    slots = [g for _, grants in watched for g in grants]
+    if len(slots) > 1:
+        watched_codes = itemgetter(*slots)
+    else:
+        watched_codes = itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
     def escalation_free(s: bytes) -> bool:
         """False when an AUTO grant exists for a name some installed app
         declares dangerous."""
+        if _AUTO_CODE not in watched_codes(s):
+            return True
         for installed, grants in watched:
             for g in grants:
                 if s[g] == _AUTO_CODE:
@@ -191,3 +207,40 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         successors=successors,
         invariants=(("escalation_free", escalation_free),),
     )
+
+
+def _adding_successors(plans, install, width: int):
+    """The successors `build_system` splices, which states the actions and
+    their guards, with each request branch computed on the state read as
+    one big-endian integer: the branch writes a grant slot that holds 0, so
+    it adds the written code times the slot's place value, followed by one
+    `to_bytes`. Install keeps `install`'s `bytearray` copy."""
+    changes = []
+    for slot, install_label, declares, requests in plans:
+        adds = []
+        for request in requests:
+            place = 1 << 8 * (width - 1 - request[1])
+            adds.append(request + (_AUTO_CODE * place, _CONSENT_CODE * place,
+                                   _DENIED_CODE * place))
+        changes.append((slot, install_label, declares, tuple(adds)))
+
+    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
+        n = int.from_bytes(s)
+        out = []
+        for slot, install_label, declares, requests in changes:
+            if not s[slot]:
+                out.append((install_label, install(s, slot, declares)))
+                continue
+            for (level_slot, grant_slot, request_l, allow_l, deny_l,
+                 auto, consent, denied) in requests:
+                level = s[level_slot]
+                if not level or s[grant_slot]:
+                    continue
+                if level == _NORMAL_CODE:
+                    out.append((request_l, (n + auto).to_bytes(width)))
+                else:
+                    out.append((allow_l, (n + consent).to_bytes(width)))
+                    out.append((deny_l, (n + denied).to_bytes(width)))
+        return out
+
+    return successors

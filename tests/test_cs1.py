@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from apscheck import kernel
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import ActionLabel, CheckOptions, Verdict, check
 from apscheck.models import cs1
@@ -168,8 +169,8 @@ def states_within(system, depth: int) -> list[bytes]:
 
 
 class TestTwoSuccessorPaths:
-    """Encodings up to `_ARITHMETIC_WIDTH` bytes get their successors by
-    integer arithmetic, wider ones by splicing; forcing the splicing path
+    """Encodings up to `kernel.ARITHMETIC_WIDTH` bytes get their successors
+    by integer arithmetic, wider ones by splicing; forcing the splicing path
     must give equal lists, with the same successors being `s` itself."""
 
     @staticmethod
@@ -178,7 +179,7 @@ class TestTwoSuccessorPaths:
 
     def assert_paths_agree(self, monkeypatch, apps, depth):
         adding = cs1.build_system(apps)
-        monkeypatch.setattr(cs1, "_ARITHMETIC_WIDTH", 0)
+        monkeypatch.setattr(kernel, "ARITHMETIC_WIDTH", 0)
         splicing = cs1.build_system(apps)
         assert (self.path(adding), self.path(splicing)) == (
             "_adding_successors", "_splicing_successors")

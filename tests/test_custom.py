@@ -3,14 +3,19 @@ auto-grant vs. user-consent branching, and the escalation property."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import oracles
+from apscheck import kernel
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import Verdict, check
 from apscheck.models import custom
 from apscheck.models.custom import (AUTO, CONSENT, DENIED, AppSpec,
                                     PermissionDeclaration)
+from apscheck.scenario import parse_scenario
+from test_cs1 import states_within
 
 MALWARE = AppSpec("malware", (PermissionDeclaration("P", "normal"),), ("P",))
 VICTIM = AppSpec("victim", (PermissionDeclaration("P", "dangerous"),), ())
@@ -288,3 +293,118 @@ class TestSystemPackaging:
         with pytest.raises(ConfigurationError,
                            match="variable 'registryDefiner' repeats domain value ''"):
             custom.build_system(apps)
+
+
+def shaped_apps(k: int, m: int) -> tuple[AppSpec, ...]:
+    """`k` apps and `m` names: app{i} declares P{j} when j % k == i (normal
+    if j is odd, else dangerous), and every app requests every name. The
+    2 x 5 shape is the benchmark's custom_pass scenario."""
+    names = tuple(f"P{j}" for j in range(m))
+    return tuple(
+        AppSpec(f"app{i}", tuple(PermissionDeclaration(n, ("dangerous", "normal")[j % 2])
+                                 for j, n in enumerate(names) if j % k == i), names)
+        for i in range(k))
+
+
+def shipped_apps(file: str) -> tuple[AppSpec, ...]:
+    path = Path(__file__).resolve().parent.parent / "scenarios" / file
+    return parse_scenario(path.read_text(encoding="utf-8")).app_specs
+
+
+# Three apps, P0 declared normal and dangerous: escalation_free fails.
+THREE_APPS = (
+    AppSpec("alpha", (PermissionDeclaration("P0", "normal"),), ("P0", "P1")),
+    AppSpec("bravo", (PermissionDeclaration("P1", "dangerous"),), ("P0", "P1")),
+    AppSpec("carol", (PermissionDeclaration("P0", "dangerous"),), ("P1",)),
+)
+
+
+def reachable(system) -> list[bytes]:
+    # Every action turns a slot from 0 to nonzero, so no path is longer
+    # than the encoding.
+    return states_within(system, len(system.initial_states[0]))
+
+
+def adds(system) -> bool:
+    """Whether `system` builds request branches by integer addition."""
+    return system.successors.__qualname__.startswith("_adding_successors.")
+
+
+SCENARIOS = {
+    "custom_pass": shaped_apps(2, 5),
+    "custom_vuln": shipped_apps("custom_vuln.scn"),
+    "custom_safe": shipped_apps("custom_safe.scn"),
+    "three_apps": THREE_APPS,
+    # AUTO grants, but no name is declared dangerous.
+    "auto_only": (AppSpec("a", (PermissionDeclaration("P", "normal"),), ("P",)),
+                  AppSpec("b", (), ("P",))),
+}
+
+
+class TestTwoSuccessorPaths:
+    """Encodings up to `kernel.ARITHMETIC_WIDTH` bytes get their request
+    branches by integer addition, wider ones by splicing; forcing the
+    splicing path must give equal lists."""
+
+    def assert_paths_agree(self, monkeypatch, apps, depth=None):
+        adding = custom.build_system(apps)
+        monkeypatch.setattr(kernel, "ARITHMETIC_WIDTH", 0)
+        splicing = custom.build_system(apps)
+        assert adds(adding) and not adds(splicing)
+        states = reachable(adding) if depth is None else states_within(adding, depth)
+        for s in states:
+            assert adding.successors(s) == splicing.successors(s)
+        return states
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_agree_on_every_reachable_state(self, monkeypatch, scenario):
+        states = self.assert_paths_agree(monkeypatch, SCENARIOS[scenario])
+        if scenario == "custom_pass":
+            assert len(states) == 11696
+
+    def test_agree_at_the_widest_adding_encoding(self, monkeypatch):
+        apps = shaped_apps(4, 10)
+        # 4 installed, 10 level, 10 definer and 40 grant slots.
+        assert len(custom.build_system(apps).initial_states[0]) == 64
+        self.assert_paths_agree(monkeypatch, apps, depth=4)
+
+    def test_wider_encodings_splice(self):
+        system = custom.build_system(shaped_apps(5, 10))
+        assert len(system.initial_states[0]) == 75
+        assert not adds(system)
+
+
+def unscreened_escalation_free(system, apps, state: bytes) -> bool:
+    """escalation_free restated on the decoded state: no AUTO grant of a
+    name that an installed app declares dangerous."""
+    view = system.decode(state).as_dict()
+    dangerous = {d.name for a in apps if view["installed"][a.id]
+                 for d in a.declares if d.level == "dangerous"}
+    return not any(mode == AUTO and key.split(":")[1] in dangerous
+                   for key, mode in view["grants"].items())
+
+
+class TestScreenedEscalationFree:
+    """escalation_free first rules out an AUTO code in every watched grant
+    slot (a requested name some app declares dangerous) in one call."""
+
+    @pytest.mark.parametrize("scenario,watched,verdicts", [
+        ("custom_safe", 0, {True}),  # nobody requests the name
+        ("custom_vuln", 1, {True, False}),
+        ("three_apps", 5, {True, False}),
+        ("custom_pass", 6, {True}),
+        ("auto_only", 0, {True}),
+    ])
+    def test_equals_the_unscreened_check_on_every_reachable_state(
+            self, scenario, watched, verdicts):
+        apps = SCENARIOS[scenario]
+        system = custom.build_system(apps)
+        grants = [k.split(":") for k in system.variables[3].keys]
+        dangerous = {d.name for a in apps for d in a.declares if d.level == "dangerous"}
+        assert sum(n in dangerous for _, n in grants) == watched
+        seen = set()
+        for s in reachable(system):
+            got = escalation_free(system, s)
+            assert got == unscreened_escalation_free(system, apps, s)
+            seen.add(got)
+        assert seen == verdicts

@@ -21,7 +21,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Scenario sources that are not shipped files; each case writes its own
 # to a temporary file.
-SOURCES = {"cs1_apps4": "model aps_cs1\napps 4\ncheck ApsConsistent\n"}
+SOURCES = {
+    "cs1_apps4": "model aps_cs1\napps 4\ncheck ApsConsistent\n",
+    # Three apps; with `--max-states 13` the limit stops the sixth
+    # expansion at its second of seven successors, so the reports pin the
+    # transitions counted up to that point.
+    "custom_limit": ("model custom_permissions\n"
+                     "app alpha { declare P0 level normal\n request P0\n request P1 }\n"
+                     "app bravo { declare P1 level dangerous\n request P0\n request P1 }\n"
+                     "app carol { declare P0 level dangerous\n request P1 }\n"
+                     "check escalation_free\n"),
+}
 
 # case -> (shipped file or SOURCES key, extra arguments, exit code). A
 # `--replay` argument names the golden case whose JSON report is replayed.
@@ -39,6 +49,8 @@ CASES = {
     "cs1_apps4.json": ("cs1_apps4", ("--format", "json"), 1),
     "cs1_apps4.stats": ("cs1_apps4", ("--stats-only",), 0),
     "cs1_apps4.replay": ("cs1_apps4", ("--replay", "cs1_apps4.json"), 0),
+    "custom_limit.text": ("custom_limit", ("--max-states", "13"), 3),
+    "custom_limit.json": ("custom_limit", ("--max-states", "13", "--format", "json"), 3),
 }
 
 

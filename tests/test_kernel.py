@@ -191,6 +191,30 @@ class TestCheck:
         assert report.distinct_states == 2
         assert report.trace is None
 
+    def test_limit_counts_the_successors_consumed_up_to_it(self):
+        # The second successor of the root hits the limit; the third is
+        # never looked at.
+        edges = {"a": [("l", "b"), ("m", "c"), ("r", "d")]}
+        report = check(graph_system(edges, ["a"]), CheckOptions(max_states=2))
+        assert report.verdict is Verdict.LIMIT_EXCEEDED
+        assert (report.distinct_states, report.transitions, report.diameter) == (2, 2, 1)
+
+    def test_interrupt_mid_expansion_counts_the_successors_consumed(self):
+        class Interrupting(bytes):
+            def __hash__(self):
+                raise KeyboardInterrupt
+
+        base = graph_system({"a": [("l", "b"), ("m", "c"), ("r", "d")]}, ["a"])
+
+        def successors(state):
+            (first, b), (second, c), rest = base.successors(state)
+            return [(first, b), (second, Interrupting(c)), rest]
+
+        report = check(replace(base, successors=successors))
+        assert report.verdict is Verdict.INTERRUPTED
+        # "b" is stored; the dedup lookup of "c" raises, and "c" counts.
+        assert (report.distinct_states, report.transitions, report.diameter) == (2, 2, 1)
+
     def test_options_validation(self):
         system = graph_system({}, ["s"])
         with pytest.raises(ConfigurationError):
