@@ -17,7 +17,6 @@ from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from operator import length_hint
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
@@ -30,14 +29,6 @@ MAX_DOMAIN_SIZE = 256
 # plain ones but never backtrack: on CPython 3.11 a match is about 40%
 # faster, and the plain form raised the peak RSS of a check.
 _SLOT_REPEAT = b"{%d}+"
-
-# Both built-in models build the successors of encodings of at most this
-# many bytes by integer arithmetic: each is one addition to the state read
-# as a big-endian integer and one `to_bytes`. Wider encodings splice bytes.
-# Per successor, the addition and `to_bytes` beat splicing up to about 100
-# bytes, but the addition tables hold width-sized integers per slot, which
-# slows the build and the first states of wide systems.
-ARITHMETIC_WIDTH = 64
 
 
 class Record:
@@ -401,10 +392,7 @@ def check(system: TransitionSystem,
     labels: list[Optional[ActionLabel]] = []
     add, append_state = seen.add, states.append
     append_parent, append_label = parents.append, labels.append
-    # Each expansion's successors are counted when it starts; `rest` is
-    # its iterator, whose remaining length a partial report takes back.
     transitions = 0
-    rest = iter(())
     diameter = 0
 
     def report(verdict: Verdict, trace: Optional[Trace] = None) -> CheckReport:
@@ -444,16 +432,13 @@ def check(system: TransitionSystem,
                     trace = reconstruct_trace(system, states, parents, labels,
                                               head, name)
                     return report(Verdict.VIOLATION, trace)
-            expansion = successors(state)
-            transitions += len(expansion)
-            rest = iter(expansion)
-            for label, successor in rest:
+            for label, successor in successors(state):
+                transitions += 1
                 if successor in seen:
                     continue
                 if not well_formed(successor):
                     system._validate_state(successor, label)
                 if len(states) >= max_states:
-                    transitions -= length_hint(rest)
                     return report(Verdict.LIMIT_EXCEEDED)
                 add(successor)
                 append_state(successor)
@@ -462,7 +447,6 @@ def check(system: TransitionSystem,
                 diameter = depth + 1
             head += 1
     except KeyboardInterrupt:
-        transitions -= length_hint(rest)
         return report(Verdict.INTERRUPTED)
 
     return report(Verdict.PASS)

@@ -16,7 +16,6 @@ variant ships here; detecting the flaw is the point.
 
 from __future__ import annotations
 
-from .. import kernel
 from ..errors import ConfigurationError
 from ..kernel import (ActionLabel, TransitionSystem, VariableDecl,
                       canonical_encode, variable_slices)
@@ -33,6 +32,13 @@ INVARIANT_NAMES = ("ApsTypeOK", "ApsConsistent")
 _NOR_CODE = PERM_LEVELS.index(NOR)
 _DAN_CODE = PERM_LEVELS.index(DAN)
 _NOR, _DAN, _INSTALLED = bytes([_NOR_CODE]), bytes([_DAN_CODE]), bytes([1])
+
+# Encodings of at most this many bytes (21 apps) build successors by integer
+# arithmetic; wider ones splice bytes. Per successor, the addition and
+# `to_bytes` beat splicing up to about 100 bytes, but the tables hold
+# width-sized integers for every app, which slows the build and the first
+# states of wide systems.
+_ARITHMETIC_WIDTH = 64
 
 
 def app_ids(app_count: int) -> tuple[str, ...]:
@@ -71,7 +77,7 @@ def build_system(app_count: int) -> TransitionSystem:
          ActionLabel("Ask", (("r", rid), ("p", DAN))),
          ActionLabel("Grant", (("r", rid),)))
         for r, rid in enumerate(ids))
-    if len(initial) <= kernel.ARITHMETIC_WIDTH:  # 21 apps at most
+    if len(initial) <= _ARITHMETIC_WIDTH:
         successors = _adding_successors(actions, installed, nothing_installed,
                                         len(initial))
     else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Sequence
 
-from .. import kernel
 from ..errors import ConfigurationError
 from ..kernel import (ActionLabel, Record, TransitionSystem, VariableDecl,
                       canonical_encode, variable_slices)
@@ -42,8 +41,6 @@ _GRANT_MODES = ("", AUTO, CONSENT, DENIED)
 _NORMAL_CODE = _REGISTRY_LEVELS.index(NORMAL)
 _AUTO_CODE, _CONSENT_CODE, _DENIED_CODE = (_GRANT_MODES.index(m)
                                            for m in (AUTO, CONSENT, DENIED))
-_AUTO, _CONSENT, _DENIED = (bytes([c])
-                            for c in (_AUTO_CODE, _CONSENT_CODE, _DENIED_CODE))
 
 
 class PermissionDeclaration(Record):
@@ -112,20 +109,28 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
     # Per app: its installed slot, its Install label, the registry entries
     # it writes on install where a name is still unclaimed (level slot,
     # level code, definer slot, definer code), and its requests in name
-    # order (level slot, grant slot, labels). A request for a name nobody
-    # declares is never enabled, so it is left out.
+    # order (level slot, grant slot, labels, and what writing AUTO, CONSENT
+    # or DENIED into the grant slot adds to the state read as one
+    # big-endian integer). A request for a name nobody declares is never
+    # enabled, so it is left out.
+    width = len(initial)
     plans = []
     for k, app in enumerate(apps):
         declares = tuple(
             (level_at + name_at[d.name], _REGISTRY_LEVELS.index(d.level),
              definer_at + name_at[d.name], k + 1)
             for d in app.declares)
-        requests = tuple(
-            (level_at + name_at[n], grant_slots[(app.id, n)],
-             ActionLabel("Request", (("a", app.id), ("n", n))),
-             ActionLabel("UserAllow", (("a", app.id), ("n", n))),
-             ActionLabel("UserDeny", (("a", app.id), ("n", n))))
-            for n in app.requests if n in name_at)
+        requests = []
+        for n in app.requests:
+            if n in name_at:
+                grant_slot = grant_slots[(app.id, n)]
+                place = 1 << 8 * (width - 1 - grant_slot)
+                requests.append((
+                    level_at + name_at[n], grant_slot,
+                    ActionLabel("Request", (("a", app.id), ("n", n))),
+                    ActionLabel("UserAllow", (("a", app.id), ("n", n))),
+                    ActionLabel("UserDeny", (("a", app.id), ("n", n))),
+                    _AUTO_CODE * place, _CONSENT_CODE * place, _DENIED_CODE * place))
         plans.append((installed_at + k, ActionLabel("Install", (("a", app.id),)),
                       declares, requests))
 
@@ -143,26 +148,28 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         request branches for each requested name ascending that is
         registered and neither granted nor denied to the app. A
         normal-level name is granted automatically; a dangerous-level name
-        forks on the user's allow/deny decision."""
+        forks on the user's allow/deny decision.
+
+        A request branch writes a grant slot that holds 0, so its successor
+        is one addition to the state read as an integer and one
+        `to_bytes`."""
+        n = int.from_bytes(s)
         out = []
         for slot, install_label, declares, requests in plans:
             if not s[slot]:
                 out.append((install_label, install(s, slot, declares)))
                 continue
-            for level_slot, grant_slot, request_l, allow_l, deny_l in requests:
+            for (level_slot, grant_slot, request_l, allow_l, deny_l,
+                 auto, consent, denied) in requests:
                 level = s[level_slot]
                 if not level or s[grant_slot]:
                     continue
-                head, tail = s[:grant_slot], s[grant_slot + 1:]
                 if level == _NORMAL_CODE:
-                    out.append((request_l, head + _AUTO + tail))
+                    out.append((request_l, (n + auto).to_bytes(width)))
                 else:
-                    out.append((allow_l, head + _CONSENT + tail))
-                    out.append((deny_l, head + _DENIED + tail))
+                    out.append((allow_l, (n + consent).to_bytes(width)))
+                    out.append((deny_l, (n + denied).to_bytes(width)))
         return out
-
-    if len(initial) <= kernel.ARITHMETIC_WIDTH:
-        successors = _adding_successors(plans, install, len(initial))
 
     # Per name some app declares dangerous and some app requests: the
     # installed slots of its dangerous definers and the grant slots of its
@@ -178,13 +185,8 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
     watched = tuple((definers[n], requested[n]) for n in names
                     if n in definers and n in requested)
     # The codes of every watched grant slot, read in one call: a tuple, or
-    # bytes for zero slots or one, as `itemgetter` of one index would
-    # return a bare int.
-    slots = [g for _, grants in watched for g in grants]
-    if len(slots) > 1:
-        watched_codes = itemgetter(*slots)
-    else:
-        watched_codes = itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
+    # b'' with no slots.
+    watched_codes = itemgetter(*(g for _, grants in watched for g in grants), slice(0))
 
     def escalation_free(s: bytes) -> bool:
         """False when an AUTO grant exists for a name some installed app
@@ -207,40 +209,3 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         successors=successors,
         invariants=(("escalation_free", escalation_free),),
     )
-
-
-def _adding_successors(plans, install, width: int):
-    """The successors `build_system` splices, which states the actions and
-    their guards, with each request branch computed on the state read as
-    one big-endian integer: the branch writes a grant slot that holds 0, so
-    it adds the written code times the slot's place value, followed by one
-    `to_bytes`. Install keeps `install`'s `bytearray` copy."""
-    changes = []
-    for slot, install_label, declares, requests in plans:
-        adds = []
-        for request in requests:
-            place = 1 << 8 * (width - 1 - request[1])
-            adds.append(request + (_AUTO_CODE * place, _CONSENT_CODE * place,
-                                   _DENIED_CODE * place))
-        changes.append((slot, install_label, declares, tuple(adds)))
-
-    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
-        n = int.from_bytes(s)
-        out = []
-        for slot, install_label, declares, requests in changes:
-            if not s[slot]:
-                out.append((install_label, install(s, slot, declares)))
-                continue
-            for (level_slot, grant_slot, request_l, allow_l, deny_l,
-                 auto, consent, denied) in requests:
-                level = s[level_slot]
-                if not level or s[grant_slot]:
-                    continue
-                if level == _NORMAL_CODE:
-                    out.append((request_l, (n + auto).to_bytes(width)))
-                else:
-                    out.append((allow_l, (n + consent).to_bytes(width)))
-                    out.append((deny_l, (n + denied).to_bytes(width)))
-        return out
-
-    return successors

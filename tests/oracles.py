@@ -94,6 +94,19 @@ def reachable_set_fixpoint(initial, successors):
     return reached
 
 
+def states_within(system, depth: int) -> list:
+    """Every state of `system` (anything with `initial_states` and
+    `successors`) reachable from an initial one in at most `depth` steps,
+    in breadth-first order."""
+    seen = dict.fromkeys(system.initial_states)
+    level = list(seen)
+    for _ in range(depth):
+        level = list(dict.fromkeys(t for s in level for _, t in system.successors(s)
+                                   if t not in seen))
+        seen.update(dict.fromkeys(level))
+    return list(seen)
+
+
 def cs1_stats(n):
     """(distinct states, transition edges, diameter) for the n-app machine."""
     reached = reachable_set_fixpoint(cs1_initial(n), cs1_successors)

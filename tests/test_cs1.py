@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 import oracles
-from apscheck import kernel
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import ActionLabel, CheckOptions, Verdict, check
 from apscheck.models import cs1
@@ -157,20 +156,9 @@ class TestSuccessors:
             assert got == expected
 
 
-def states_within(system, depth: int) -> list[bytes]:
-    """Every state reachable from the initial one in at most `depth` steps."""
-    seen = dict.fromkeys(system.initial_states)
-    level = list(seen)
-    for _ in range(depth):
-        level = list(dict.fromkeys(t for s in level for _, t in system.successors(s)
-                                   if t not in seen))
-        seen.update(dict.fromkeys(level))
-    return list(seen)
-
-
 class TestTwoSuccessorPaths:
-    """Encodings up to `kernel.ARITHMETIC_WIDTH` bytes get their successors
-    by integer arithmetic, wider ones by splicing; forcing the splicing path
+    """Encodings up to `_ARITHMETIC_WIDTH` bytes get their successors by
+    integer arithmetic, wider ones by splicing; forcing the splicing path
     must give equal lists, with the same successors being `s` itself."""
 
     @staticmethod
@@ -179,11 +167,11 @@ class TestTwoSuccessorPaths:
 
     def assert_paths_agree(self, monkeypatch, apps, depth):
         adding = cs1.build_system(apps)
-        monkeypatch.setattr(kernel, "ARITHMETIC_WIDTH", 0)
+        monkeypatch.setattr(cs1, "_ARITHMETIC_WIDTH", 0)
         splicing = cs1.build_system(apps)
         assert (self.path(adding), self.path(splicing)) == (
             "_adding_successors", "_splicing_successors")
-        for s in states_within(adding, depth):
+        for s in oracles.states_within(adding, depth):
             got, expected = adding.successors(s), splicing.successors(s)
             assert got == expected
             assert [t is s for _, t in got] == [t is s for _, t in expected]

@@ -8,14 +8,12 @@ from pathlib import Path
 import pytest
 
 import oracles
-from apscheck import kernel
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import Verdict, check
 from apscheck.models import custom
 from apscheck.models.custom import (AUTO, CONSENT, DENIED, AppSpec,
                                     PermissionDeclaration)
 from apscheck.scenario import parse_scenario
-from test_cs1 import states_within
 
 MALWARE = AppSpec("malware", (PermissionDeclaration("P", "normal"),), ("P",))
 VICTIM = AppSpec("victim", (PermissionDeclaration("P", "dangerous"),), ())
@@ -322,12 +320,18 @@ THREE_APPS = (
 def reachable(system) -> list[bytes]:
     # Every action turns a slot from 0 to nonzero, so no path is longer
     # than the encoding.
-    return states_within(system, len(system.initial_states[0]))
+    return oracles.states_within(system, len(system.initial_states[0]))
 
 
-def adds(system) -> bool:
-    """Whether `system` builds request branches by integer addition."""
-    return system.successors.__qualname__.startswith("_adding_successors.")
+def oracle_state(system, s: bytes):
+    """The oracle's (installed, registry, grants, denied) view of `s`."""
+    view = system.decode(s).as_dict()
+    modes = [(*key.split(":"), mode) for key, mode in view["grants"].items()]
+    return (frozenset(a for a, on in view["installed"].items() if on),
+            frozenset((n, level, view["registryDefiner"][n])
+                      for n, level in view["registryLevel"].items() if level),
+            frozenset(g for g in modes if g[2] in (AUTO, CONSENT)),
+            frozenset((a, n) for a, n, mode in modes if mode == DENIED))
 
 
 SCENARIOS = {
@@ -341,37 +345,36 @@ SCENARIOS = {
 }
 
 
-class TestTwoSuccessorPaths:
-    """Encodings up to `kernel.ARITHMETIC_WIDTH` bytes get their request
-    branches by integer addition, wider ones by splicing; forcing the
-    splicing path must give equal lists."""
+class TestSuccessorsMatchTheOracle:
+    """Request, allow and deny successors are built by integer addition;
+    on every state visited they must equal the oracle's, label for label
+    and in order."""
 
-    def assert_paths_agree(self, monkeypatch, apps, depth=None):
-        adding = custom.build_system(apps)
-        monkeypatch.setattr(kernel, "ARITHMETIC_WIDTH", 0)
-        splicing = custom.build_system(apps)
-        assert adds(adding) and not adds(splicing)
-        states = reachable(adding) if depth is None else states_within(adding, depth)
+    @staticmethod
+    def assert_matches_oracle(apps, depth=None) -> list[bytes]:
+        system = custom.build_system(apps)
+        oracle_apps = as_oracle(apps)
+        states = reachable(system) if depth is None else oracles.states_within(system, depth)
         for s in states:
-            assert adding.successors(s) == splicing.successors(s)
+            got = [(label.render(), oracle_state(system, t))
+                   for label, t in system.successors(s)]
+            expected = [(f"{label[0]}({', '.join(label[1:])})", t)
+                        for label, t in oracles.custom_successors(
+                            oracle_state(system, s), oracle_apps)]
+            assert got == expected
         return states
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_agree_on_every_reachable_state(self, monkeypatch, scenario):
-        states = self.assert_paths_agree(monkeypatch, SCENARIOS[scenario])
+    def test_every_reachable_state(self, scenario):
+        states = self.assert_matches_oracle(SCENARIOS[scenario])
         if scenario == "custom_pass":
             assert len(states) == 11696
 
-    def test_agree_at_the_widest_adding_encoding(self, monkeypatch):
-        apps = shaped_apps(4, 10)
-        # 4 installed, 10 level, 10 definer and 40 grant slots.
-        assert len(custom.build_system(apps).initial_states[0]) == 64
-        self.assert_paths_agree(monkeypatch, apps, depth=4)
-
-    def test_wider_encodings_splice(self):
-        system = custom.build_system(shaped_apps(5, 10))
-        assert len(system.initial_states[0]) == 75
-        assert not adds(system)
+    def test_a_wide_encoding(self):
+        apps = shaped_apps(5, 10)
+        # 5 installed, 10 level, 10 definer and 50 grant slots.
+        assert len(custom.build_system(apps).initial_states[0]) == 75
+        self.assert_matches_oracle(apps, depth=4)
 
 
 def unscreened_escalation_free(system, apps, state: bytes) -> bool:
