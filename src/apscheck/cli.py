@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checked invariants hold, 1 a violation was found,
 2 usage/parse/semantic error, 3 state limit exceeded, interrupted
-(Ctrl-C) or model integrity error. Stdout carries only the report;
-diagnostics go to stderr.
+(Ctrl-C), model integrity error or out of memory. Stdout carries only
+the report; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -57,13 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        source = _read_text(args.scenario)
+        source = args.scenario.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 2
@@ -105,7 +101,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace, system) -> int:
     try:
-        document = _read_text(args.replay)
+        document = args.replay.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.replay}: {exc}", file=sys.stderr)
         return 2
@@ -138,6 +134,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return _cmd_check(args)
     except KeyboardInterrupt:  # `check` reports its own as a partial report
         print("error: interrupted", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; lower the state limit", file=sys.stderr)
         return 3
 
 

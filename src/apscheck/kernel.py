@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import time
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -204,7 +204,8 @@ class TransitionSystem:
     States are canonical encodings (see :func:`canonical_encode`).
     `successors` must be deterministic: the same encoding yields the
     identical ordered list of (label, successor encoding) pairs on every
-    call. Invariants take an encoding and are checked in list order.
+    call; :func:`reconstruct_trace` relies on it to find a trace's parents
+    again. Invariants take an encoding and are checked in list order.
     """
 
     name: str
@@ -335,23 +336,32 @@ class CheckReport(NamedTuple):
 
 
 def reconstruct_trace(system: TransitionSystem, states: Sequence[bytes],
-                      parents: Sequence[int],
-                      labels: Sequence[Optional[ActionLabel]],
-                      violating: int, invariant_name: str) -> Trace:
-    """Walk the parent arrays from state number `violating` back to its root.
-
-    `states[i]` is the encoding of the i-th discovered state, `parents[i]`
-    the number of the state it was first reached from (-1 for an initial
-    state) and `labels[i]` the action taken (None for an initial state).
-    A parent is always discovered before its child, so the walk ends.
+                      level_starts: Sequence[int], violating: int,
+                      invariant_name: str) -> Trace:
+    """The shortest trace to state number `violating`, from the encodings
+    `states` in discovery order and `level_starts[d]`, the number of the
+    first state at depth d. BFS first reached a state at depth d > 0 from
+    the first state of level d-1, in number order, whose successors contain
+    it, by the first label there leading to it. Deterministic `successors`
+    find both again, expanding each level below at most once; a state no
+    longer reached from the level before raises :class:`ModelIntegrityError`.
     """
-    steps: list[TraceStep] = []
     index = violating
-    while index >= 0:
-        steps.append(TraceStep(system.decode(states[index]), labels[index]))
-        index = parents[index]
-    steps.reverse()
-    return Trace(tuple(steps), invariant_name)
+    steps: list[TraceStep] = []
+    for depth in reversed(range(bisect_right(level_starts, violating) - 1)):
+        target = states[index]
+        found = next(((parent, label)
+                      for parent in range(level_starts[depth], level_starts[depth + 1])
+                      for label, successor in system.successors(states[parent])
+                      if successor == target), None)
+        if found is None:
+            raise ModelIntegrityError(
+                f"state {index} at depth {depth + 1} is not a successor of any "
+                f"state at depth {depth}; successors must be deterministic")
+        index, label = found
+        steps.append(TraceStep(system.decode(target), label))
+    steps.append(TraceStep(system.decode(states[index]), None))
+    return Trace(tuple(reversed(steps)), invariant_name)
 
 
 def check(system: TransitionSystem,
@@ -362,15 +372,17 @@ def check(system: TransitionSystem,
     successors in the model's declared action order), so the first violation
     found, and hence the reported trace, is the same on every run. Each
     state's invariants are evaluated once, at dequeue; the first failing
-    invariant in list order names the violation, and the reconstructed trace
-    is shortest by the BFS discovery guarantee. Only states not seen before
-    are validated against the declarations: an encoding equal to a visited
-    state is valid by construction.
+    invariant in list order names the violation. Only encodings are stored,
+    so a violation at depth d rebuilds its trace, shortest by the BFS
+    discovery guarantee, by expanding levels 0 to d-1 at most once more (see
+    :func:`reconstruct_trace`). Only states not seen before are validated
+    against the declarations: an encoding equal to a visited state is valid
+    by construction.
 
-    A :class:`KeyboardInterrupt` during exploration ends it early with an
-    ``INTERRUPTED`` report carrying the counts so far and no trace. Partial
-    reports count exactly the successors consumed, the one being looked at
-    included.
+    A :class:`KeyboardInterrupt` during exploration or trace reconstruction
+    ends it early with an ``INTERRUPTED`` report carrying the exploration's
+    counts and no trace. Partial reports count exactly the successors
+    consumed, the one being looked at included.
     """
     opts = options or CheckOptions()
     if opts.max_states < 1:
@@ -386,21 +398,20 @@ def check(system: TransitionSystem,
 
     # State number i is states[i]; states are expanded in number order, so
     # the frontier is states[head:] and depths never decrease along it.
+    # level_starts[d] numbers the first state at depth d; the last entry
+    # starts the level below the one being expanded.
     seen: set[bytes] = set()
     states: list[bytes] = []
-    parents = array("q")
-    labels: list[Optional[ActionLabel]] = []
+    level_starts = [0]
     add, append_state = seen.add, states.append
-    append_parent, append_label = parents.append, labels.append
     transitions = 0
-    diameter = 0
 
     def report(verdict: Verdict, trace: Optional[Trace] = None) -> CheckReport:
         return CheckReport(
             verdict=verdict,
             distinct_states=len(states),
             transitions=transitions,
-            diameter=diameter,
+            diameter=max(bisect_right(level_starts, len(states) - 1) - 1, 0),
             elapsed=time.perf_counter() - started,
             trace=trace,
             invariants_checked=tuple(name for name, _ in active),
@@ -416,22 +427,17 @@ def check(system: TransitionSystem,
                 return report(Verdict.LIMIT_EXCEEDED)
             add(state)
             append_state(state)
-            append_parent(-1)
-            append_label(None)
 
-        depth = 0
-        level_end = len(states)
+        level_starts.append(len(states))
         head = 0
         while head < len(states):
-            if head == level_end:
-                depth += 1
-                level_end = len(states)
+            if head == level_starts[-1]:
+                level_starts.append(len(states))
             state = states[head]
             for name, predicate in active:
                 if not predicate(state):
-                    trace = reconstruct_trace(system, states, parents, labels,
-                                              head, name)
-                    return report(Verdict.VIOLATION, trace)
+                    return report(Verdict.VIOLATION, reconstruct_trace(
+                        system, states, level_starts, head, name))
             for label, successor in successors(state):
                 transitions += 1
                 if successor in seen:
@@ -442,9 +448,6 @@ def check(system: TransitionSystem,
                     return report(Verdict.LIMIT_EXCEEDED)
                 add(successor)
                 append_state(successor)
-                append_parent(head)
-                append_label(label)
-                diameter = depth + 1
             head += 1
     except KeyboardInterrupt:
         return report(Verdict.INTERRUPTED)

@@ -52,16 +52,13 @@ def render_text(report: CheckReport) -> str:
             lines.append(f"State {number}: <{heading}>")
             lines.extend(_state_lines(step.state))
             lines.append("")
-    elif report.verdict is Verdict.LIMIT_EXCEEDED:
-        lines.append(f"State limit reached after {report.distinct_states} distinct "
-                     "states; statistics below are partial.")
-        lines.append("")
-    elif report.verdict is Verdict.INTERRUPTED:
-        lines.append(f"Interrupted after {report.distinct_states} distinct "
-                     "states; statistics below are partial.")
-        lines.append("")
     else:
-        if report.invariants_checked:
+        if report.verdict is not Verdict.PASS:
+            stop = ("State limit reached" if report.verdict is Verdict.LIMIT_EXCEEDED
+                    else "Interrupted")
+            lines.append(f"{stop} after {report.distinct_states} distinct "
+                         "states; statistics below are partial.")
+        elif report.invariants_checked:
             names = ", ".join(report.invariants_checked)
             lines.append(f"No violations found (checked: {names}).")
         else:

@@ -107,6 +107,61 @@ def states_within(system, depth: int) -> list:
     return list(seen)
 
 
+def forward_parent_check(system, max_states=1_000_000, check_invariants=True):
+    """Reference breadth-first check of `system` (anything with
+    `initial_states`, `successors` and `invariants`) that records each
+    state's parent and label on discovery and walks them back from a
+    violation, as the kernel did before it rebuilt traces by searching.
+
+    Returns (verdict, distinct states, transitions, diameter, trace): the
+    verdict is "pass", "violation" or "limit_exceeded", and the trace is
+    None or (invariant name, labels, encodings), the first label None.
+    Counts follow the kernel's: a limit stop counts the successor that hit
+    the limit, and the diameter is the depth of the last state found.
+    """
+    states, parents, labels, depths = [], [], [], []
+    index = {}
+
+    def discover(state, parent, label):
+        index[state] = len(states)
+        states.append(state)
+        parents.append(parent)
+        labels.append(label)
+        depths.append(0 if parent < 0 else depths[parent] + 1)
+
+    def result(verdict, trace=None):
+        return verdict, len(states), transitions, depths[-1], trace
+
+    transitions = 0
+    for state in system.initial_states:
+        if state not in index:
+            if len(states) >= max_states:
+                return result("limit_exceeded")
+            discover(state, -1, None)
+    invariants = system.invariants if check_invariants else ()
+    head = 0
+    while head < len(states):
+        failed = [name for name, holds in invariants if not holds(states[head])]
+        if failed:
+            path = []
+            at = head
+            while at >= 0:
+                path.append((labels[at], states[at]))
+                at = parents[at]
+            path.reverse()
+            return result("violation", (failed[0], [label for label, _ in path],
+                                        [state for _, state in path]))
+        for label, successor in system.successors(states[head]):
+            transitions += 1
+            if successor in index:
+                continue
+            if len(states) >= max_states:
+                return result("limit_exceeded")
+            discover(successor, head, label)
+        head += 1
+    return result("pass")
+
+
 def cs1_stats(n):
     """(distinct states, transition edges, diameter) for the n-app machine."""
     reached = reachable_set_fixpoint(cs1_initial(n), cs1_successors)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import signal
@@ -247,6 +248,45 @@ class TestInterruptOutsideCheck:
         assert code == 3
         assert err == "error: interrupted\n"
         assert out == ""
+
+
+class TestResourceErrors:
+    @pytest.mark.parametrize("target", ["build_system", "check"])
+    def test_out_of_memory_exits_three_with_one_line(self, run_cli, scenarios_dir,
+                                                      monkeypatch, target):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+
+    def test_nondeterministic_successors_exit_three(self, run_cli, scenarios_dir,
+                                                    monkeypatch):
+        # Each state's successors vanish after its first expansion, so the
+        # trace search cannot find the violating state's parent again.
+        build = cli.build_system
+
+        def forgetful_build(scenario):
+            system = build(scenario)
+            expanded = set()
+
+            def successors(state):
+                fresh = state not in expanded
+                expanded.add(state)
+                return system.successors(state) if fresh else []
+
+            return dataclasses.replace(system, successors=successors)
+
+        monkeypatch.setattr(cli, "build_system", forgetful_build)
+        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(r"error: state \d+ at depth 2 is not a successor of any "
+                            r"state at depth 1; successors must be deterministic\n", err)
 
 
 class TestModuleEntryPoint:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import replace
 
 import pytest
@@ -286,23 +285,24 @@ class TestCheck:
 
 
 class TestReconstructTrace:
-    system = graph_system({}, ["a", "b", "c", "d"])
+    """Traces rebuilt from the discovered states and level starts alone."""
 
-    def node(self, name: str) -> bytes:
-        return self.system.encode({"node": {"v": name}}).encoding
+    def nodes(self, system, names: str) -> list[bytes]:
+        return [system.encode({"node": {"v": n}}).encoding for n in names]
 
     def test_initial_violation_gives_single_state_trace(self):
-        a = self.node("a")
-        trace = reconstruct_trace(self.system, [a], array("q", [-1]), [None], 0, "inv")
+        system = graph_system({"a": [("go", "b")]}, ["a"])
+        states = self.nodes(system, "a")
+        trace = reconstruct_trace(system, states, [0], 0, "inv")
         assert len(trace.steps) == 1
-        assert trace.steps[0] == (self.system.decode(a), None)
+        assert trace.steps[0] == (system.decode(states[0]), None)
         assert trace.violated_invariant == "inv"
 
     def test_linear_chain_is_returned_in_recorded_order(self):
-        states = [self.node(n) for n in "abcd"]
-        labels = [None, ActionLabel("one"), ActionLabel("two"), ActionLabel("three")]
-        trace = reconstruct_trace(self.system, states, array("q", [-1, 0, 1, 2]),
-                                  labels, 3, "inv")
+        system = graph_system({"a": [("one", "b")], "b": [("two", "c")],
+                               "c": [("three", "d")]}, ["a"])
+        states = self.nodes(system, "abcd")
+        trace = reconstruct_trace(system, states, [0, 1, 2, 3], 3, "inv")
         assert len(trace) == 3
         assert [s.label.name for s in trace.steps[1:]] == ["one", "two", "three"]
         assert [s.state.encoding for s in trace.steps] == states
@@ -310,12 +310,53 @@ class TestReconstructTrace:
 
     def test_only_the_ancestors_of_the_violating_state_are_walked(self):
         # a is the root of two branches, a -> b and a -> c -> d.
-        states = [self.node(n) for n in "abcd"]
-        labels = [None, ActionLabel("ab"), ActionLabel("ac"), ActionLabel("cd")]
-        trace = reconstruct_trace(self.system, states, array("q", [-1, 0, 0, 2]),
-                                  labels, 3, "inv")
+        base = graph_system({"a": [("ab", "b"), ("ac", "c")], "c": [("cd", "d")]}, ["a"])
+        expanded = []
+
+        def successors(state):
+            expanded.append(base.decode(state).as_dict()["node"]["v"])
+            return base.successors(state)
+
+        system = replace(base, successors=successors)
+        trace = reconstruct_trace(system, self.nodes(system, "abcd"), [0, 1, 3], 3, "inv")
         assert [s.state.as_dict()["node"]["v"] for s in trace.steps] == ["a", "c", "d"]
-        assert [s.label for s in trace.steps] == [None, labels[2], labels[3]]
+        assert [s.label for s in trace.steps] == [None, ActionLabel("ac"), ActionLabel("cd")]
+        # Level 1 up to the parent c, then level 0; d itself never.
+        assert expanded == ["b", "c", "a"]
+
+    def test_a_state_the_level_before_no_longer_reaches_is_an_integrity_error(self):
+        base = graph_system({"a": [("l", "b")]}, ["a"],
+                            invariants=(("safe", lambda n: n != "b"),))
+        calls = 0
+
+        def successors(state):
+            # Right on the first call, empty on every later one.
+            nonlocal calls
+            calls += 1
+            return base.successors(state) if calls == 1 else []
+
+        with pytest.raises(ModelIntegrityError, match="state 1 at depth 1 is not a "
+                                                      "successor of any state at depth 0"):
+            check(replace(base, successors=successors))
+
+    def test_interrupt_during_the_search_gives_the_exploration_counts(self):
+        base = graph_system({"a": [("l", "b"), ("r", "c")]}, ["a"],
+                            invariants=(("safe", lambda n: n != "c"),))
+        calls = 0
+
+        def successors(state):
+            # Calls 1 and 2 expand a and b; call 3 searches for c's parent.
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise KeyboardInterrupt
+            return base.successors(state)
+
+        report = check(replace(base, successors=successors))
+        assert calls == 3
+        assert report.verdict is Verdict.INTERRUPTED
+        assert (report.distinct_states, report.transitions, report.diameter) == (3, 2, 1)
+        assert report.trace is None
 
 
 class TestReachableStats:
