@@ -136,7 +136,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print("error: interrupted", file=sys.stderr)
         return 3
     except MemoryError:
-        print("error: out of memory; lower the state limit", file=sys.stderr)
+        print("error: out of memory; try a smaller model or state limit", file=sys.stderr)
         return 3
 
 

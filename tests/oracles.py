@@ -3,7 +3,9 @@
 Everything in this module is deliberately written without importing the
 package under test: its own state representations, its own transition
 relations, set-fixpoint reachability instead of a worklist BFS, and
-iterative-deepening search for shortest violating paths.
+iterative-deepening search for shortest violating paths. The one worklist
+BFS here, `forward_parent_check`, runs on a system's own successor function
+and is the reference for how the kernel finds a trace's parents.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def forward_parent_check(system, max_states=1_000_000, check_invariants=True):
     """Reference breadth-first check of `system` (anything with
     `initial_states`, `successors` and `invariants`) that records each
     state's parent and label on discovery and walks them back from a
-    violation, as the kernel did before it rebuilt traces by searching.
+    violation. The kernel stores neither and searches the level before each
+    step instead; the two must give the same trace.
 
     Returns (verdict, distinct states, transitions, diameter, trace): the
     verdict is "pass", "violation" or "limit_exceeded", and the trace is
