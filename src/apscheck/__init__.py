@@ -17,7 +17,6 @@ from .kernel import (
     ActionLabel,
     CheckOptions,
     CheckReport,
-    State,
     Trace,
     TraceStep,
     TransitionSystem,
@@ -25,6 +24,7 @@ from .kernel import (
     Verdict,
     canonical_encode,
     check,
+    decode,
 )
 from .models import (
     AppSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "ReplayResult",
     "ScenarioDef",
     "ScenarioError",
-    "State",
     "Trace",
     "TraceStep",
     "TransitionSystem",
@@ -69,6 +68,7 @@ __all__ = [
     "build_system",
     "canonical_encode",
     "check",
+    "decode",
     "get_model",
     "model_names",
     "parse_scenario",

@@ -6,7 +6,7 @@ predicates, packaged as a :class:`TransitionSystem`. States are canonical
 byte encodings throughout exploration. :func:`check` explores every
 reachable state in a fixed order, deduplicating on the full encoding, and
 either proves all invariants or reconstructs a shortest counterexample
-trace of decoded :class:`State` values.
+trace of encodings, which :func:`decode` turns back into values.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .errors import ConfigurationError, DomainError, ModelIntegrityError
 
 # One byte per slot holds the value's domain code.
 MAX_DOMAIN_SIZE = 256
+
+# States a check stores before it stops with LIMIT_EXCEEDED, unless told.
+DEFAULT_MAX_STATES = 1_000_000
 
 # A variable's slots in the layout pattern: its byte class, repeated once
 # per key. With exact counts, possessive repeats accept the same strings as
@@ -101,35 +104,6 @@ def variable_slices(variables: Sequence[VariableDecl]) -> tuple[slice, ...]:
     return tuple(slices)
 
 
-class State:
-    """A total assignment of every declared variable, canonically encoded.
-
-    Two states are equal exactly when their encodings are byte-identical.
-    Exploration works on the encodings alone; a `State` adds the decoded
-    values in declaration order so that trace steps and replayed documents
-    stay renderable without the producing system at hand.
-    """
-
-    __slots__ = ("encoding", "assignment")
-
-    def __init__(self, encoding: bytes,
-                 assignment: tuple[tuple[str, tuple[tuple[str, object], ...]], ...]):
-        self.encoding = encoding
-        self.assignment = assignment
-
-    def as_dict(self) -> dict[str, dict[str, object]]:
-        return {var: dict(items) for var, items in self.assignment}
-
-    def __eq__(self, other):
-        return isinstance(other, State) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(self.encoding)
-
-    def __repr__(self):
-        return f"State({self.as_dict()!r})"
-
-
 class ActionLabel(NamedTuple):
     """Names the atomic action that produced a transition, with its
     parameter values in a fixed order (the acting app first)."""
@@ -144,29 +118,26 @@ class ActionLabel(NamedTuple):
 
 
 def canonical_encode(variables: Sequence[VariableDecl],
-                     assignment: Mapping[str, Mapping[str, object]]) -> State:
-    """Encode a total assignment into a :class:`State`.
+                     assignment: Mapping[str, Mapping[str, object]]) -> bytes:
+    """Encode a total assignment as bytes.
 
     Deterministic and injective for a fixed declaration list: variables in
     declaration order, keys in declared key order, one byte per slot holding
     the value's domain code. The assignment must hold exactly the declared
     variables and keys, and each value must equal a domain value of the same
     type (``True`` and ``1.0`` are not ``1``); otherwise :class:`DomainError`
-    names the offending variable, key or value. The returned state holds the
-    domain's own values.
+    names the offending variable, key or value. :func:`decode` inverts it.
     """
     declared = [decl.name for decl in variables]
     for name in assignment:
         if name not in declared:
             raise DomainError(f"assignment has undeclared variable {name!r}")
     codes = bytearray()
-    decoded = []
     for decl in variables:
         try:
             var_map = assignment[decl.name]
         except KeyError:
             raise DomainError(f"assignment is missing variable {decl.name!r}") from None
-        items = []
         for key in decl.keys:
             try:
                 value = var_map[key]
@@ -183,14 +154,21 @@ def canonical_encode(variables: Sequence[VariableDecl],
                     f"declared domain {decl.domain!r}"
                 )
             codes.append(code)
-            items.append((key, decl.domain[code]))
         if len(var_map) != len(decl.keys):
             # Every declared key is present and keys are distinct, so some
             # key is undeclared.
             key = next(k for k in var_map if k not in decl.keys)
             raise DomainError(f"assignment for {decl.name!r} has undeclared key {key!r}")
-        decoded.append((decl.name, tuple(items)))
-    return State(bytes(codes), tuple(decoded))
+    return bytes(codes)
+
+
+def decode(variables: Sequence[VariableDecl],
+           encoding: bytes) -> dict[str, dict[str, object]]:
+    """The assignment that :func:`canonical_encode` encodes as `encoding`,
+    which must be well formed for `variables`: the domains' own values,
+    variables in declaration order and keys in declared key order."""
+    return {decl.name: dict(zip(decl.keys, (decl.domain[c] for c in encoding[where])))
+            for decl, where in zip(variables, variable_slices(variables))}
 
 
 SuccessorFn = Callable[[bytes], "list[tuple[ActionLabel, bytes]]"]
@@ -234,20 +212,6 @@ class TransitionSystem:
             )
         return replace(self, invariants=tuple((n, table[n]) for n in names))
 
-    def encode(self, assignment: Mapping[str, Mapping[str, object]]) -> State:
-        return canonical_encode(self.variables, assignment)
-
-    def decode(self, encoding: bytes) -> State:
-        """The :class:`State` whose encoding is `encoding`, which must be
-        valid for these declarations."""
-        return State(encoding, tuple(
-            (decl.name, tuple(zip(decl.keys, (decl.domain[c] for c in encoding[where]))))
-            for decl, where in self._layout))
-
-    @cached_property
-    def _layout(self) -> tuple[tuple[VariableDecl, slice], ...]:
-        return tuple(zip(self.variables, variable_slices(self.variables)))
-
     @cached_property
     def _well_formed(self) -> Callable[[bytes], Optional[re.Match]]:
         """A matcher accepting exactly the encodings :meth:`_validate_state`
@@ -282,22 +246,24 @@ class TransitionSystem:
 
 
 class TraceStep(NamedTuple):
-    state: State
+    state: bytes
     label: Optional[ActionLabel]  # None only on the initial state
 
 
 class Trace(Record):
     """Minimal-length labeled path from an initial state to the state that
-    violates `violated_invariant`."""
+    violates `violated_invariant`. Steps hold encodings; `variables`, the
+    system's declarations, decode them (see :func:`decode`)."""
 
-    __slots__ = ("steps", "violated_invariant")  # tuple[TraceStep, ...], str
+    # tuple[TraceStep, ...], str, tuple[VariableDecl, ...]
+    __slots__ = ("steps", "violated_invariant", "variables")
 
     def __len__(self) -> int:
         # Number of labeled steps, i.e. actions taken.
         return len(self.steps) - 1
 
     @property
-    def final_state(self) -> State:
+    def final_state(self) -> bytes:
         return self.steps[-1].state
 
 
@@ -309,7 +275,7 @@ class Verdict(Enum):
 
 
 class CheckOptions(NamedTuple):
-    max_states: int = 1_000_000
+    max_states: int = DEFAULT_MAX_STATES
     check_invariants: bool = True
 
 
@@ -359,9 +325,9 @@ def reconstruct_trace(system: TransitionSystem, states: Sequence[bytes],
                 f"state {index} at depth {depth + 1} is not a successor of any "
                 f"state at depth {depth}; successors must be deterministic")
         index, label = found
-        steps.append(TraceStep(system.decode(target), label))
-    steps.append(TraceStep(system.decode(states[index]), None))
-    return Trace(tuple(reversed(steps)), invariant_name)
+        steps.append(TraceStep(target, label))
+    steps.append(TraceStep(states[index], None))
+    return Trace(tuple(reversed(steps)), invariant_name, system.variables)
 
 
 def check(system: TransitionSystem,

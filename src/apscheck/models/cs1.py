@@ -66,7 +66,7 @@ def build_system(app_count: int) -> TransitionSystem:
         "askedPerms": dict.fromkeys(ids, NONE),
         "grantedPerms": dict.fromkeys(ids, NONE),
         "alreadyInstalled": dict.fromkeys(ids, 0),
-    }).encoding
+    })
     nothing_installed = initial[installed]
     # Per app: its asked, granted and installed slots, and the labels of
     # its four actions.

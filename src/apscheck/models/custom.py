@@ -102,17 +102,16 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         "registryLevel": dict.fromkeys(names, ""),
         "registryDefiner": dict.fromkeys(names, ""),
         "grants": dict.fromkeys(decls[3].keys, ""),
-    }).encoding
+    })
     name_at = {n: j for j, n in enumerate(names)}
     grant_slots = {pair: grant_at + p for p, pair in enumerate(pairs)}
 
     # Per app: its installed slot, its Install label, the registry entries
     # it writes on install where a name is still unclaimed (level slot,
     # level code, definer slot, definer code), and its requests in name
-    # order (level slot, grant slot, labels, and what writing AUTO, CONSENT
-    # or DENIED into the grant slot adds to the state read as one
-    # big-endian integer). A request for a name nobody declares is never
-    # enabled, so it is left out.
+    # order (level slot, grant slot, labels, and the bit offset of the grant
+    # slot in the state read as one big-endian integer). A request for a
+    # name nobody declares is never enabled, so it is left out.
     width = len(initial)
     plans = []
     for k, app in enumerate(apps):
@@ -124,13 +123,12 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         for n in app.requests:
             if n in name_at:
                 grant_slot = grant_slots[(app.id, n)]
-                place = 1 << 8 * (width - 1 - grant_slot)
                 requests.append((
                     level_at + name_at[n], grant_slot,
                     ActionLabel("Request", (("a", app.id), ("n", n))),
                     ActionLabel("UserAllow", (("a", app.id), ("n", n))),
                     ActionLabel("UserDeny", (("a", app.id), ("n", n))),
-                    _AUTO_CODE * place, _CONSENT_CODE * place, _DENIED_CODE * place))
+                    8 * (width - 1 - grant_slot)))
         plans.append((installed_at + k, ActionLabel("Install", (("a", app.id),)),
                       declares, requests))
 
@@ -152,7 +150,8 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
 
         A request branch writes a grant slot that holds 0, so its successor
         is one addition to the state read as an integer and one
-        `to_bytes`."""
+        `to_bytes`. Codes are shifted into place here, so that the build
+        keeps no state-wide integer per request."""
         n = int.from_bytes(s)
         out = []
         for slot, install_label, declares, requests in plans:
@@ -160,15 +159,15 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
                 out.append((install_label, install(s, slot, declares)))
                 continue
             for (level_slot, grant_slot, request_l, allow_l, deny_l,
-                 auto, consent, denied) in requests:
+                 shift) in requests:
                 level = s[level_slot]
                 if not level or s[grant_slot]:
                     continue
                 if level == _NORMAL_CODE:
-                    out.append((request_l, (n + auto).to_bytes(width)))
+                    out.append((request_l, (n + (_AUTO_CODE << shift)).to_bytes(width)))
                 else:
-                    out.append((allow_l, (n + consent).to_bytes(width)))
-                    out.append((deny_l, (n + denied).to_bytes(width)))
+                    out.append((allow_l, (n + (_CONSENT_CODE << shift)).to_bytes(width)))
+                    out.append((deny_l, (n + (_DENIED_CODE << shift)).to_bytes(width)))
         return out
 
     # Per name some app declares dangerous and some app requests: the

@@ -10,17 +10,17 @@ import json
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, ReplayDocumentError
-from .kernel import CheckReport, State, TransitionSystem, Verdict
+from .kernel import CheckReport, TransitionSystem, Verdict, canonical_encode, decode
 
 
 def _format_value(value) -> str:
     return json.dumps(value) if isinstance(value, str) else str(value)
 
 
-def _state_lines(state: State) -> list[str]:
+def _state_lines(values: dict[str, dict[str, object]]) -> list[str]:
     lines = []
-    for var, items in state.assignment:
-        inner = ", ".join(f"{key} |-> {_format_value(v)}" for key, v in items)
+    for var, items in values.items():
+        inner = ", ".join(f"{key} |-> {_format_value(v)}" for key, v in items.items())
         lines.append(f"  {var} = [{inner}]")
     return lines
 
@@ -50,7 +50,7 @@ def render_text(report: CheckReport) -> str:
         for number, step in enumerate(trace.steps, start=1):
             heading = "Initial predicate" if step.label is None else step.label.render()
             lines.append(f"State {number}: <{heading}>")
-            lines.extend(_state_lines(step.state))
+            lines.extend(_state_lines(decode(trace.variables, step.state)))
             lines.append("")
     else:
         if report.verdict is not Verdict.PASS:
@@ -83,7 +83,7 @@ def render_structured(report: CheckReport) -> str:
                 "step": number,
                 "action": step.label.name if step.label else None,
                 "params": dict(step.label.params) if step.label else {},
-                "state": step.state.as_dict(),
+                "state": decode(report.trace.variables, step.state),
             }
             for number, step in enumerate(report.trace.steps, start=1)
         ]
@@ -142,7 +142,7 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     recorded: list[bytes] = []
     for index, step in enumerate(steps, start=1):
         try:
-            encoding = system.encode(step["state"]).encoding
+            encoding = canonical_encode(system.variables, step["state"])
         except (DomainError, KeyError, TypeError):
             return ReplayResult(False, index, "state does not decode against "
                                               "the system's declarations")

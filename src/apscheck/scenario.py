@@ -22,13 +22,11 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CheckerError
-from .kernel import Record
+from .kernel import DEFAULT_MAX_STATES, Record
 from .models import AppSpec, PermissionDeclaration, get_model, model_names
 
 SYNTAX = "syntax"
 SEMANTIC = "semantic"
-
-DEFAULT_MAX_STATES = 1_000_000
 
 # One alternative per token kind, plus line breaks, comments and any other
 # non-blank character. Letters and digits are ASCII only. Blanks (space,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import signal
@@ -12,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apscheck import cli
 
@@ -319,3 +323,74 @@ class TestModuleEntryPoint:
         assert out.splitlines()[0].endswith(
             " distinct states; statistics below are partial.")
         assert "Traceback" not in err
+
+
+# Scenario text for the contract fuzzer: a model line, the directives that
+# model needs and some it accepts, and then random tokens, directives of
+# the other model or free text inserted anywhere. The only ASCII digits are
+# the integers 0-3 written here, and every piece is followed by a blank, so
+# no `apps` value exceeds 3.
+APP_BLOCKS = ("app m { declare P level normal request P }",
+              "app v { declare P level dangerous }",
+              "app a { request P request Q }",
+              "app z { declare Q level dangerous request P }")
+# model -> (one of these is needed, at most this many of them, optional lines)
+DIRECTIVES = {
+    "aps_cs1": (("apps 1", "apps 2", "apps 3"), 1,
+                ("check ApsTypeOK", "check ApsConsistent", "max_states 3")),
+    "custom_permissions": (APP_BLOCKS, 4, ("check escalation_free",)),
+}
+NOISE = ("{", "}", "#", "model", "apps", "app", "declare", "level", "request",
+         "check", "max_states", "normal", "dangerous", "P", "Q", "0", "3", "3_",
+         "apps 0", "apps 3", "model nosuch", "check escalation_free") + APP_BLOCKS
+
+
+@st.composite
+def scenario_texts(draw) -> str:
+    model = draw(st.sampled_from(sorted(DIRECTIVES)))
+    needed, most, optional = DIRECTIVES[model]
+    lines = [f"model {model}"]
+    lines += draw(st.lists(st.sampled_from(needed), min_size=1, max_size=most, unique=True))
+    lines += draw(st.lists(st.sampled_from(optional), max_size=2, unique=True))
+    for noise in draw(st.lists(st.sampled_from(NOISE) | st.text(
+            st.characters(blacklist_characters="0123456789"), max_size=6), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), noise)
+    return "".join(line + draw(st.sampled_from((" ", "\n", "\t"))) for line in lines)
+
+
+class TestContractFuzz:
+    """`cli.main` on scenario text mixing valid directives, random tokens and
+    arbitrary Unicode: it returns an exit code of 0-3 and raises nothing,
+    prints nothing on stdout with exit 2, and a JSON report of a violation
+    replays as valid."""
+
+    # Half the inputs run at the largest limit, where most valid scenarios
+    # reach their violation, so that reports get replayed.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(source=scenario_texts(), fmt=st.sampled_from(("text", "json")),
+           max_states=st.just(50) | st.integers(0, 50),
+           stats_only=st.booleans())
+    def test_exit_codes_stdout_and_replay(self, tmp_path_factory, source, fmt,
+                                          max_states, stats_only):
+        workdir = tmp_path_factory.getbasetemp() / "contract_fuzz"
+        workdir.mkdir(exist_ok=True)
+        scenario = workdir / "fuzz.scn"
+        scenario.write_bytes(source.encode("utf-8"))
+        argv = ["check", str(scenario), "--format", fmt,
+                "--max-states", str(max_states)] + ["--stats-only"] * stats_only
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            return code, out.getvalue()
+
+        code, out = run(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert out == ""
+        if code == 1 and fmt == "json":
+            report = workdir / "report.json"
+            report.write_text(out, encoding="utf-8")
+            code, out = run(["check", str(scenario), "--replay", str(report)])
+            assert (code, out.startswith("replay: valid")) == (0, True), out

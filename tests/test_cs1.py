@@ -7,21 +7,23 @@ import pytest
 
 import oracles
 from apscheck.errors import ConfigurationError
-from apscheck.kernel import ActionLabel, CheckOptions, Verdict, check
+from apscheck.kernel import (ActionLabel, CheckOptions, Verdict, canonical_encode,
+                             check, decode)
 from apscheck.models import cs1
 
 
 def encode(system, asked, granted, installed) -> bytes:
     ids = cs1.app_ids(len(asked))
-    return system.encode({"askedPerms": dict(zip(ids, asked)),
-                          "grantedPerms": dict(zip(ids, granted)),
-                          "alreadyInstalled": dict(zip(ids, installed))}).encoding
+    return canonical_encode(system.variables,
+                            {"askedPerms": dict(zip(ids, asked)),
+                             "grantedPerms": dict(zip(ids, granted)),
+                             "alreadyInstalled": dict(zip(ids, installed))})
 
 
 def values(system, state: bytes) -> tuple:
     """(asked, granted, installed) value tuples, the oracle's state form."""
-    return tuple(tuple(v for _, v in items)
-                 for _, items in system.decode(state).assignment)
+    return tuple(tuple(items.values())
+                 for items in decode(system.variables, state).values())
 
 
 def step(system, state: bytes, action: str):
@@ -247,9 +249,9 @@ class TestReachability:
 class TestSystemPackaging:
     def test_encode_decode_round_trip(self):
         system = cs1.build_system(2)
-        init = system.decode(system.initial_states[0])
-        assert system.encode(init.as_dict()) == init
-        assert init.as_dict() == {
+        init = decode(system.variables, system.initial_states[0])
+        assert canonical_encode(system.variables, init) == system.initial_states[0]
+        assert init == {
             "askedPerms": {"a1": "", "a2": ""},
             "grantedPerms": {"a1": "", "a2": ""},
             "alreadyInstalled": {"a1": 0, "a2": 0},

@@ -15,6 +15,7 @@ from apscheck.kernel import (
     Verdict,
     canonical_encode,
     check,
+    decode,
     reconstruct_trace,
 )
 
@@ -28,7 +29,7 @@ def graph_system(edges: dict[str, list[tuple[str, str]]], initial: list[str],
     decl = VariableDecl("node", ("v",), nodes)
 
     def encode(node: str) -> bytes:
-        return canonical_encode((decl,), {"node": {"v": node}}).encoding
+        return canonical_encode((decl,), {"node": {"v": node}})
 
     def successors(state: bytes):
         node = nodes[state[0]]
@@ -55,7 +56,6 @@ class TestCanonicalEncode:
         assignment = {"x": {"a1": "NOR", "a2": ""}, "y": {"a1": 1, "a2": 0}}
         first = canonical_encode(self.decls, assignment)
         second = canonical_encode(self.decls, assignment)
-        assert first.encoding == second.encoding
         assert first == second
 
     def test_single_value_difference_changes_encoding(self):
@@ -66,8 +66,8 @@ class TestCanonicalEncode:
     def test_insertion_order_of_dicts_is_irrelevant(self):
         forward = {"x": {"a1": "", "a2": ""}, "y": {"a1": 0, "a2": 0}}
         backward = {"y": {"a2": 0, "a1": 0}, "x": {"a2": "", "a1": ""}}
-        assert (canonical_encode(self.decls, forward).encoding
-                == canonical_encode(self.decls, backward).encoding)
+        assert (canonical_encode(self.decls, forward)
+                == canonical_encode(self.decls, backward))
 
     def test_out_of_domain_value_names_variable_and_key(self):
         bad = {"x": {"a1": "BOGUS", "a2": ""}, "y": {"a1": 0, "a2": 0}}
@@ -82,7 +82,7 @@ class TestCanonicalEncode:
 
     def test_domain_holds_at_most_256_values(self):
         widest = VariableDecl("x", ("k",), tuple(range(256)))
-        assert canonical_encode((widest,), {"x": {"k": 255}}).encoding == bytes([255])
+        assert canonical_encode((widest,), {"x": {"k": 255}}) == bytes([255])
         with pytest.raises(ConfigurationError, match="'x' has 257 domain values"):
             VariableDecl("x", ("k",), tuple(range(257)))
 
@@ -105,7 +105,7 @@ class TestCanonicalEncode:
         for value, domain_value in zip(("NOR", int("1" + "0" * 20)), decls[0].domain):
             assert value == domain_value and value is not domain_value
             state = canonical_encode(decls, {"x": {"k": value}})
-            assert state.as_dict()["x"]["k"] is domain_value
+            assert decode(decls, state)["x"]["k"] is domain_value
 
     @pytest.mark.parametrize("keys,domain,repeated", [
         (("a", "b", "a"), (0, 1), "key 'a'"),
@@ -118,8 +118,8 @@ class TestCanonicalEncode:
     def test_encoding_is_one_byte_per_slot(self):
         assignment = {"x": {"a1": "DAN", "a2": "NOR"}, "y": {"a1": 1, "a2": 0}}
         state = canonical_encode(self.decls, assignment)
-        assert state.encoding == bytes([2, 1, 1, 0])
-        assert state.as_dict() == assignment
+        assert state == bytes([2, 1, 1, 0])
+        assert decode(self.decls, state) == assignment
 
 
 class TestCheck:
@@ -179,7 +179,7 @@ class TestCheck:
         system = graph_system(edges, ["a"],
                               invariants=(("safe", lambda n: n != "bad"),))
         trace = check(system).trace
-        safe = lambda st: st.as_dict()["node"]["v"] != "bad"
+        safe = lambda st: decode(system.variables, st)["node"]["v"] != "bad"
         assert all(safe(step.state) for step in trace.steps[:-1])
         assert not safe(trace.final_state)
 
@@ -231,7 +231,7 @@ class TestCheck:
 
     def test_malformed_successor_names_the_action_label(self):
         decl = VariableDecl("node", ("v",), ("s",))
-        good = canonical_encode((decl,), {"node": {"v": "s"}}).encoding
+        good = canonical_encode((decl,), {"node": {"v": "s"}})
         for rogue, problem in ((bytes([7]), r"node\[v\] holds code 7"),
                                (good + good, "state encoding has 2 slots, declarations require 1")):
             system = TransitionSystem(
@@ -288,15 +288,16 @@ class TestReconstructTrace:
     """Traces rebuilt from the discovered states and level starts alone."""
 
     def nodes(self, system, names: str) -> list[bytes]:
-        return [system.encode({"node": {"v": n}}).encoding for n in names]
+        return [canonical_encode(system.variables, {"node": {"v": n}}) for n in names]
 
     def test_initial_violation_gives_single_state_trace(self):
         system = graph_system({"a": [("go", "b")]}, ["a"])
         states = self.nodes(system, "a")
         trace = reconstruct_trace(system, states, [0], 0, "inv")
         assert len(trace.steps) == 1
-        assert trace.steps[0] == (system.decode(states[0]), None)
+        assert trace.steps[0] == (states[0], None)
         assert trace.violated_invariant == "inv"
+        assert trace.variables == system.variables
 
     def test_linear_chain_is_returned_in_recorded_order(self):
         system = graph_system({"a": [("one", "b")], "b": [("two", "c")],
@@ -305,8 +306,9 @@ class TestReconstructTrace:
         trace = reconstruct_trace(system, states, [0, 1, 2, 3], 3, "inv")
         assert len(trace) == 3
         assert [s.label.name for s in trace.steps[1:]] == ["one", "two", "three"]
-        assert [s.state.encoding for s in trace.steps] == states
-        assert [s.state.as_dict()["node"]["v"] for s in trace.steps] == list("abcd")
+        assert [s.state for s in trace.steps] == states
+        assert [decode(trace.variables, s.state)["node"]["v"]
+                for s in trace.steps] == list("abcd")
 
     def test_only_the_ancestors_of_the_violating_state_are_walked(self):
         # a is the root of two branches, a -> b and a -> c -> d.
@@ -314,12 +316,13 @@ class TestReconstructTrace:
         expanded = []
 
         def successors(state):
-            expanded.append(base.decode(state).as_dict()["node"]["v"])
+            expanded.append(decode(base.variables, state)["node"]["v"])
             return base.successors(state)
 
         system = replace(base, successors=successors)
         trace = reconstruct_trace(system, self.nodes(system, "abcd"), [0, 1, 3], 3, "inv")
-        assert [s.state.as_dict()["node"]["v"] for s in trace.steps] == ["a", "c", "d"]
+        assert [decode(trace.variables, s.state)["node"]["v"]
+                for s in trace.steps] == ["a", "c", "d"]
         assert [s.label for s in trace.steps] == [None, ActionLabel("ac"), ActionLabel("cd")]
         # Level 1 up to the parent c, then level 0; d itself never.
         assert expanded == ["b", "c", "a"]
@@ -398,11 +401,11 @@ class TestTraceReplayInvariant:
         system = graph_system(edges, ["a"],
                               invariants=(("safe", lambda n: n != "bad"),))
         trace = check(system).trace
-        current = trace.steps[0].state.encoding
+        current = trace.steps[0].state
         assert current in system.initial_states
         for step in trace.steps[1:]:
             matches = [t for lbl, t in system.successors(current)
                        if lbl == step.label]
             assert matches, f"label {step.label.render()} not enabled"
-            assert matches[0] == step.state.encoding
+            assert matches[0] == step.state
             current = matches[0]

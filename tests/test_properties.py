@@ -1,6 +1,6 @@
 """Property tests: the kernel against the independent oracles on random
 small custom_permissions scenarios (1-3 apps, at most 2 names), and the
-kernel's compiled layout check against a plain loop."""
+kernel's compiled layout check against a plain loop and the decoder."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from apscheck.errors import ModelIntegrityError
 from apscheck.kernel import (ActionLabel, CheckOptions, TransitionSystem,
-                             VariableDecl, Verdict, check)
+                             VariableDecl, Verdict, canonical_encode, check, decode)
 from apscheck.models import custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from apscheck.reporting import render_structured, replay
@@ -104,6 +104,7 @@ def test_layout_check_agrees_with_a_plain_loop(case):
                                   successors=lambda s: [])
     if well_formed(decls, encoding):
         assert check(system).verdict is Verdict.PASS
+        assert canonical_encode(decls, decode(decls, encoding)) == encoding
     else:
         with pytest.raises(ModelIntegrityError):
             check(system)

@@ -11,15 +11,16 @@ import sys
 import pytest
 
 from apscheck.errors import ConfigurationError
-from apscheck.kernel import (ActionLabel, CheckOptions, CheckReport, State, Trace,
-                             TraceStep, VariableDecl, Verdict)
+from apscheck.kernel import (ActionLabel, CheckOptions, CheckReport, Trace, TraceStep,
+                             VariableDecl, Verdict)
 from apscheck.models import AppSpec, ModelInfo, PermissionDeclaration, build_system
 from apscheck.reporting import ReplayResult
 from apscheck.scenario import ScenarioDef, _Token
 
 
 def _trace(invariant="inv"):
-    return Trace((TraceStep(State(b"\x00", (("x", (("k", 0),)),)), None),), invariant)
+    return Trace((TraceStep(b"\x00", None),), invariant,
+                 (VariableDecl("x", ("k",), (0,)),))
 
 
 # Per record: a factory of equal instances, one instance that differs in a

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from apscheck.errors import ReplayDocumentError
-from apscheck.kernel import CheckOptions, Verdict, check
+from apscheck.kernel import CheckOptions, Verdict, check, decode
 from apscheck.models import build_system, cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from apscheck.reporting import render_structured, render_text, replay
@@ -274,7 +274,7 @@ class TestReplay:
                                     if l.name == action)
             steps.append({"step": number, "action": action,
                           "params": dict(label.params) if label else {},
-                          "state": cs1_system.decode(state).as_dict()})
+                          "state": decode(cs1_system.variables, state)})
         doc = {"violated_invariant": "ApsConsistent", "trace": steps}
         assert replay(json.dumps(doc), cs1_system)
         assert steps[-1]["state"]["alreadyInstalled"] == {"a1": 1}

@@ -14,7 +14,7 @@ import random
 import pytest
 
 import oracles
-from apscheck.kernel import CheckOptions, check
+from apscheck.kernel import CheckOptions, check, decode
 from apscheck.models import cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from test_kernel import graph_system
@@ -33,7 +33,7 @@ def assert_matches_the_reference(system, max_states=1_000_000, check_invariants=
         invariant, labels, encodings = trace
         assert report.trace.violated_invariant == invariant
         assert [step.label for step in report.trace.steps] == labels
-        assert [step.state.encoding for step in report.trace.steps] == encodings
+        assert [step.state for step in report.trace.steps] == encodings
     return report
 
 
@@ -93,5 +93,6 @@ def test_tie_breaks_at_depth_four():
     }
     system = graph_system(edges, ["r", "s"], invariants=(("safe", lambda n: n != "v"),))
     report = assert_matches_the_reference(system)
-    assert [step.state.as_dict()["node"]["v"] for step in report.trace.steps] == list("racqv")
+    assert [decode(system.variables, step.state)["node"]["v"]
+            for step in report.trace.steps] == list("racqv")
     assert [step.label.name for step in report.trace.steps[1:]] == ["r1", "a1", "c1", "q2"]
