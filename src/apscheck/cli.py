@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        source = args.scenario.read_text(encoding="utf-8")
+        source = args.scenario.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
         return 2
@@ -101,7 +101,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace, system) -> int:
     try:
-        document = args.replay.read_text(encoding="utf-8")
+        document = args.replay.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.replay}: {exc}", file=sys.stderr)
         return 2

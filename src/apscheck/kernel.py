@@ -16,7 +16,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
@@ -27,11 +26,11 @@ MAX_DOMAIN_SIZE = 256
 # States a check stores before it stops with LIMIT_EXCEEDED, unless told.
 DEFAULT_MAX_STATES = 1_000_000
 
-# A variable's slots in the layout pattern: its byte class, repeated once
-# per key. With exact counts, possessive repeats accept the same strings as
-# plain ones but never backtrack: on CPython 3.11 a match is about 40%
-# faster, and the plain form raised the peak RSS of a check.
-_SLOT_REPEAT = b"{%d}+"
+# A variable's slots in the layout pattern: the codes up to its top code
+# (hex escapes need no quoting), repeated once per key. With exact counts,
+# possessive repeats accept the same strings as plain ones but never
+# backtrack: on CPython 3.11 a match is ~40% faster and a check's peak RSS lower.
+_SLOT_CLASS = rb"[\x00-\x%02x]{%d}+"
 
 
 class Record:
@@ -164,11 +163,39 @@ def canonical_encode(variables: Sequence[VariableDecl],
 
 def decode(variables: Sequence[VariableDecl],
            encoding: bytes) -> dict[str, dict[str, object]]:
-    """The assignment that :func:`canonical_encode` encodes as `encoding`,
-    which must be well formed for `variables`: the domains' own values,
-    variables in declaration order and keys in declared key order."""
-    return {decl.name: dict(zip(decl.keys, (decl.domain[c] for c in encoding[where])))
-            for decl, where in zip(variables, variable_slices(variables))}
+    """The assignment that :func:`canonical_encode` encodes as `encoding`:
+    the domains' own values, variables and keys in declared order. A
+    malformed encoding raises :class:`DomainError` naming a wrong length,
+    or else the first slot whose code is outside its variable's domain."""
+    slices = variable_slices(variables)
+    width = slices[-1].stop if slices else 0
+    if len(encoding) != width:
+        raise DomainError(f"state encoding has {len(encoding)} slots, "
+                          f"declarations require {width}")
+    values = {}
+    for decl, where in zip(variables, slices):
+        codes = encoding[where]
+        if codes and max(codes) >= len(decl.domain):
+            key, code = next((key, code) for key, code in zip(decl.keys, codes)
+                             if code >= len(decl.domain))
+            raise DomainError(f"{decl.name}[{key}] holds code {code}, "
+                              "outside its declared domain")
+        values[decl.name] = dict(zip(decl.keys, map(decl.domain.__getitem__, codes)))
+    return values
+
+
+def _well_formed(
+        variables: Sequence[VariableDecl]) -> Callable[[bytes], Optional[re.Match]]:
+    """A matcher accepting exactly the encodings :func:`decode` accepts,
+    length and codes in one call. The `re` module's own cache keeps a
+    repeated layout compiled."""
+    pattern = bytearray()
+    for decl in variables:
+        if decl.domain:
+            pattern += _SLOT_CLASS % (len(decl.domain) - 1, len(decl.keys))
+        elif decl.keys:
+            pattern += b"(?!)"
+    return re.compile(bytes(pattern)).fullmatch
 
 
 SuccessorFn = Callable[[bytes], "list[tuple[ActionLabel, bytes]]"]
@@ -211,38 +238,6 @@ class TransitionSystem:
                 f"model {self.name!r} has no invariant named {missing[0]!r}"
             )
         return replace(self, invariants=tuple((n, table[n]) for n in names))
-
-    @cached_property
-    def _well_formed(self) -> Callable[[bytes], Optional[re.Match]]:
-        """A matcher accepting exactly the encodings :meth:`_validate_state`
-        accepts: per variable, one byte class of the codes below its domain
-        size, repeated once per key. Length and codes are checked in one call."""
-        pattern = bytearray()
-        for decl in self.variables:
-            if decl.domain:
-                top = re.escape(bytes([len(decl.domain) - 1]))
-                pattern += b"[\\x00-" + top + b"]" + _SLOT_REPEAT % len(decl.keys)
-            elif decl.keys:
-                pattern += b"(?!)"
-        return re.compile(bytes(pattern)).fullmatch
-
-    def _validate_state(self, encoding: bytes, label: Optional[ActionLabel]) -> None:
-        """Raise :class:`ModelIntegrityError`, naming the action that made
-        `encoding` (None for an initial state), unless it is a well-formed
-        encoding for these declarations."""
-        slots = [(decl, key) for decl in self.variables for key in decl.keys]
-        if len(encoding) != len(slots):
-            problem = (f"state encoding has {len(encoding)} slots, "
-                       f"declarations require {len(slots)}")
-        else:
-            problem = next((f"{decl.name}[{key}] holds code {code}, "
-                            "outside its declared domain"
-                            for (decl, key), code in zip(slots, encoding)
-                            if code >= len(decl.domain)), None)
-        if problem is not None:
-            context = ("initial state" if label is None
-                       else f"successor via {label.render()}")
-            raise ModelIntegrityError(f"{context}: {problem}")
 
 
 class TraceStep(NamedTuple):
@@ -343,7 +338,7 @@ def check(system: TransitionSystem,
     discovery guarantee, by expanding levels 0 to d-1 at most once more (see
     :func:`reconstruct_trace`). Only states not seen before are validated
     against the declarations: an encoding equal to a visited state is valid
-    by construction.
+    by construction; a malformed one raises :class:`ModelIntegrityError`.
 
     A :class:`KeyboardInterrupt` during exploration or trace reconstruction
     ends it early with an ``INTERRUPTED`` report carrying the exploration's
@@ -358,7 +353,7 @@ def check(system: TransitionSystem,
 
     active = system.invariants if opts.check_invariants else ()
     successors = system.successors
-    well_formed = system._well_formed
+    well_formed = _well_formed(system.variables)
     max_states = opts.max_states
     started = time.perf_counter()
 
@@ -383,10 +378,16 @@ def check(system: TransitionSystem,
             invariants_checked=tuple(name for name, _ in active),
         )
 
+    def reject(encoding: bytes, context: str) -> None:
+        try:  # the matcher refused `encoding`; decode, which agrees, says why
+            decode(system.variables, encoding)
+        except DomainError as problem:
+            raise ModelIntegrityError(f"{context}: {problem}") from None
+
     try:
         for state in system.initial_states:
             if not well_formed(state):
-                system._validate_state(state, None)
+                reject(state, "initial state")
             if state in seen:
                 continue
             if len(states) >= max_states:
@@ -409,7 +410,7 @@ def check(system: TransitionSystem,
                 if successor in seen:
                     continue
                 if not well_formed(successor):
-                    system._validate_state(successor, label)
+                    reject(successor, f"successor via {label.render()}")
                 if len(states) >= max_states:
                     return report(Verdict.LIMIT_EXCEEDED)
                 add(successor)

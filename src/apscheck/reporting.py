@@ -157,11 +157,8 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     for index, step in enumerate(steps[1:], start=2):
         action = step.get("action")
         params = step.get("params") or {}
-        match = None
-        for label, successor in system.successors(current):
-            if label.name == action and dict(label.params) == params:
-                match = successor
-                break
+        match = next((successor for label, successor in system.successors(current)
+                      if label.name == action and dict(label.params) == params), None)
         if match is None:
             return ReplayResult(False, index,
                                 f"action {action!r} with params {params!r} is "

@@ -128,6 +128,18 @@ class TestCheckCommand:
             for app, name in (("zed", "Zeta"), ("amy", "Ghost"), ("amy", "Hex")))
         assert "warning" not in out
 
+    def test_byte_order_mark_is_skipped(self, run_cli, scenarios_dir, tmp_path):
+        # Editors on some platforms save UTF-8 with a leading BOM (U+FEFF).
+        plain = scenarios_dir / "cs1.scn"
+        marked = tmp_path / "cs1.scn"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            code, out, err = run_cli("check", str(path))
+            reports.append((code, mask_elapsed(out), err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 1
+
 
 class TestReplayFlag:
     def test_replay_of_own_document_exits_zero(self, run_cli, scenarios_dir,
@@ -140,6 +152,18 @@ class TestReplayFlag:
         code, out, err = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
                                  "--replay", str(saved))
         assert code == 0
+        assert "replay: valid" in out
+
+    def test_replay_of_document_with_byte_order_mark(self, run_cli, scenarios_dir,
+                                                     tmp_path):
+        code, out, _ = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
+                               "--format", "json")
+        assert code == 1
+        saved = tmp_path / "report.json"
+        saved.write_bytes(b"\xef\xbb\xbf" + out.encode("utf-8"))
+        code, out, err = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
+                                 "--replay", str(saved))
+        assert (code, err) == (0, "")
         assert "replay: valid" in out
 
     def test_replay_of_tampered_document_exits_one(self, run_cli, scenarios_dir,

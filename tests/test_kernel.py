@@ -121,6 +121,22 @@ class TestCanonicalEncode:
         assert state == bytes([2, 1, 1, 0])
         assert decode(self.decls, state) == assignment
 
+    @pytest.mark.parametrize("decls,encoding,problem", [
+        ((VariableDecl("node", ("v",), ("s",)),), bytes([7]),
+         "node[v] holds code 7, outside its declared domain"),
+        ((VariableDecl("node", ("v",), ("s",)),), bytes([0, 0]),
+         "state encoding has 2 slots, declarations require 1"),
+        ((VariableDecl("x", ("a",), ()), VariableDecl("y", ("b",), (0, 1))), bytes([0]),
+         "state encoding has 1 slots, declarations require 2"),
+        ((VariableDecl("x", (), ()), VariableDecl("y", ("b",), (0,))), bytes([5]),
+         "y[b] holds code 5, outside its declared domain"),
+    ], ids=["code", "too long", "too short", "after a keyless variable"])
+    def test_malformed_encodings_do_not_decode(self, decls, encoding, problem):
+        # The encodings that check's integrity tests below feed as states.
+        with pytest.raises(DomainError) as raised:
+            decode(decls, encoding)
+        assert str(raised.value) == problem
+
 
 class TestCheck:
     def test_single_state_no_actions_passes(self):
@@ -254,6 +270,14 @@ class TestCheck:
             system = TransitionSystem("bare", decls, (rogue,), lambda st: [])
             with pytest.raises(ModelIntegrityError, match=f"initial state: {problem}"):
                 check(system)
+
+    def test_check_leaves_the_system_as_it_found_it(self):
+        edges = {"a": [("l", "b")], "b": [("m", "bad")]}
+        for invariant in (lambda n: n != "bad", lambda n: True):
+            system = graph_system(edges, ["a"], invariants=(("ok", invariant),))
+            before = dict(vars(system))
+            verdict = check(system).verdict
+            assert vars(system) == before, verdict
 
     def test_interrupt_returns_the_partial_counts(self):
         edges = {"a": [("l", "b"), ("r", "c")], "b": [("m", "d")],

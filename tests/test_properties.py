@@ -1,6 +1,6 @@
 """Property tests: the kernel against the independent oracles on random
 small custom_permissions scenarios (1-3 apps, at most 2 names), and the
-kernel's compiled layout check against a plain loop and the decoder."""
+kernel's compiled layout check and strict decoder against a plain loop."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from apscheck.errors import ModelIntegrityError
+from apscheck.errors import DomainError, ModelIntegrityError
 from apscheck.kernel import (ActionLabel, CheckOptions, TransitionSystem,
                              VariableDecl, Verdict, canonical_encode, check, decode)
 from apscheck.models import custom
@@ -81,10 +81,17 @@ def layouts_and_encodings(draw):
     return decls, bytes(codes)
 
 
+def malformation(decls, encoding: bytes) -> str | None:
+    """What is wrong with `encoding`, found slot by slot, or None."""
+    slots = [(d, key) for d in decls for key in d.keys]
+    if len(encoding) != len(slots):
+        return f"state encoding has {len(encoding)} slots, declarations require {len(slots)}"
+    return next((f"{d.name}[{key}] holds code {code}, outside its declared domain"
+                 for (d, key), code in zip(slots, encoding) if code >= len(d.domain)), None)
+
+
 def well_formed(decls, encoding: bytes) -> bool:
-    slots = [len(d.domain) for d in decls for _ in d.keys]
-    return (len(encoding) == len(slots)
-            and all(code < size for code, size in zip(encoding, slots)))
+    return malformation(decls, encoding) is None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -106,5 +113,9 @@ def test_layout_check_agrees_with_a_plain_loop(case):
         assert check(system).verdict is Verdict.PASS
         assert canonical_encode(decls, decode(decls, encoding)) == encoding
     else:
-        with pytest.raises(ModelIntegrityError):
+        with pytest.raises(DomainError) as problem:
+            decode(decls, encoding)
+        assert str(problem.value) == malformation(decls, encoding)
+        with pytest.raises(ModelIntegrityError) as integrity:
             check(system)
+        assert str(integrity.value).endswith(f": {problem.value}")
