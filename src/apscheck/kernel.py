@@ -223,21 +223,17 @@ class TransitionSystem:
     def invariant_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.invariants)
 
-    def invariant(self, name: str) -> InvariantFn:
-        for inv_name, predicate in self.invariants:
-            if inv_name == name:
-                return predicate
-        raise KeyError(name)
-
     def with_invariants(self, names: Sequence[str]) -> "TransitionSystem":
-        """Restrict to the named invariants, checked in the given order."""
-        table = dict(self.invariants)
-        missing = [n for n in names if n not in table]
+        """Restrict to the named invariants, checked in the given order;
+        a name listed more than once keeps every predicate under it, in
+        list order."""
+        missing = [n for n in names if n not in self.invariant_names]
         if missing:
             raise ConfigurationError(
                 f"model {self.name!r} has no invariant named {missing[0]!r}"
             )
-        return replace(self, invariants=tuple((n, table[n]) for n in names))
+        return replace(self, invariants=tuple(
+            pair for n in names for pair in self.invariants if pair[0] == n))
 
 
 class TraceStep(NamedTuple):
@@ -346,6 +342,9 @@ def check(system: TransitionSystem,
     consumed, the one being looked at included.
     """
     opts = options or CheckOptions()
+    if type(opts.max_states) is not int:
+        raise ConfigurationError(
+            f"max_states must be an integer, not {opts.max_states!r}")
     if opts.max_states < 1:
         raise ConfigurationError("max_states must be at least 1")
     if not system.initial_states:

@@ -28,17 +28,9 @@ PERM_LEVELS = (NONE, NOR, DAN)
 MODEL_NAME = "aps_cs1"
 INVARIANT_NAMES = ("ApsTypeOK", "ApsConsistent")
 
-# Domain codes of the levels, and the one-byte slot values actions write.
+# Domain codes of the levels.
 _NOR_CODE = PERM_LEVELS.index(NOR)
 _DAN_CODE = PERM_LEVELS.index(DAN)
-_NOR, _DAN, _INSTALLED = bytes([_NOR_CODE]), bytes([_DAN_CODE]), bytes([1])
-
-# Encodings of at most this many bytes (21 apps) build successors by integer
-# arithmetic; wider ones splice bytes. Per successor, the addition and
-# `to_bytes` beat splicing up to about 100 bytes, but the tables hold
-# width-sized integers for every app, which slows the build and the first
-# states of wide systems.
-_ARITHMETIC_WIDTH = 64
 
 
 def app_ids(app_count: int) -> tuple[str, ...]:
@@ -57,6 +49,9 @@ def variable_decls(app_count: int) -> tuple[VariableDecl, ...]:
 def build_system(app_count: int) -> TransitionSystem:
     """Package the machine as a kernel TransitionSystem over byte-encoded
     states: one slot per app in each of the three variables."""
+    if type(app_count) is not int:
+        raise ConfigurationError(
+            f"aps_cs1 needs an integer app count, not {app_count!r}")
     if app_count < 1:
         raise ConfigurationError("aps_cs1 needs at least one app")
     decls = variable_decls(app_count)
@@ -68,20 +63,50 @@ def build_system(app_count: int) -> TransitionSystem:
         "alreadyInstalled": dict.fromkeys(ids, 0),
     })
     nothing_installed = initial[installed]
-    # Per app: its asked, granted and installed slots, and the labels of
-    # its four actions.
-    actions = tuple(
-        (asked.start + r, granted.start + r, installed.start + r,
-         ActionLabel("InstallOrder", (("r", rid),)),
-         ActionLabel("Ask", (("r", rid), ("p", NOR))),
-         ActionLabel("Ask", (("r", rid), ("p", DAN))),
-         ActionLabel("Grant", (("r", rid),)))
-        for r, rid in enumerate(ids))
-    if len(initial) <= _ARITHMETIC_WIDTH:
-        successors = _adding_successors(actions, installed, nothing_installed,
-                                        len(initial))
-    else:
-        successors = _splicing_successors(actions, installed, nothing_installed)
+    width = len(initial)
+    # Per app: its asked, granted and installed slots, their bit offsets in
+    # the state read as one big-endian integer, and the labels of its four
+    # actions.
+    actions = []
+    for r, rid in enumerate(ids):
+        a, g, i = asked.start + r, granted.start + r, installed.start + r
+        actions.append((
+            a, g, i, 8 * (width - 1 - a), 8 * (width - 1 - g), 8 * (width - 1 - i),
+            ActionLabel("InstallOrder", (("r", rid),)),
+            ActionLabel("Ask", (("r", rid), ("p", NOR))),
+            ActionLabel("Ask", (("r", rid), ("p", DAN))),
+            ActionLabel("Grant", (("r", rid),))))
+
+    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
+        """Enabled actions per app ascending: InstallOrder, Ask NOR, Ask DAN,
+        Grant. Self-loop successors (re-asking the same level, re-granting)
+        are emitted as `s` itself; the kernel's dedup drops them from the
+        frontier.
+
+        Writing code c over a slot that holds code v adds (c - v) << offset
+        to the state read as an integer, so each other successor is one
+        addition and one `to_bytes`. Offsets are shifted here, so that the
+        build keeps no state-wide integer per app."""
+        # InstallOrder's guard quantifies over every app: only the very
+        # first install is possible.
+        can_install = s[installed] == nothing_installed
+        n = int.from_bytes(s)
+        out = []
+        for (a, g, i, a_at, g_at, i_at,
+             install_l, ask_nor_l, ask_dan_l, grant_l) in actions:
+            if can_install:  # the slot holds 0, as nothing is installed
+                out.append((install_l, (n + (1 << i_at)).to_bytes(width)))
+            level = s[a]
+            out.append((ask_nor_l, s if level == _NOR_CODE else
+                        (n + ((_NOR_CODE - level) << a_at)).to_bytes(width)))
+            out.append((ask_dan_l, s if level == _DAN_CODE else
+                        (n + ((_DAN_CODE - level) << a_at)).to_bytes(width)))
+            # Disjunctive guard plus unconditional DAN effect; kept literal.
+            if level == _NOR_CODE or s[i] == 1:
+                held = s[g]
+                out.append((grant_l, s if held == _DAN_CODE else
+                            (n + ((_DAN_CODE - held) << g_at)).to_bytes(width)))
+        return out
 
     def type_ok(s: bytes) -> bool:
         return (max(s[asked]) < len(PERM_LEVELS)
@@ -99,74 +124,3 @@ def build_system(app_count: int) -> TransitionSystem:
         successors=successors,
         invariants=(("ApsTypeOK", type_ok), ("ApsConsistent", consistent)),
     )
-
-
-def _splicing_successors(actions, installed: slice, nothing_installed: bytes):
-    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
-        """Enabled actions per app ascending: InstallOrder, Ask NOR, Ask DAN,
-        Grant. Self-loop successors (re-asking the same level, re-granting)
-        are emitted as `s` itself; the kernel's dedup drops them from the
-        frontier."""
-        # InstallOrder's guard quantifies over every app: only the very
-        # first install is possible.
-        can_install = s[installed] == nothing_installed
-        out = []
-        for a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l in actions:
-            if can_install:
-                out.append((install_l, s[:i] + _INSTALLED + s[i + 1:]))
-            level = s[a]
-            out.append((ask_nor_l,
-                        s if level == _NOR_CODE else s[:a] + _NOR + s[a + 1:]))
-            out.append((ask_dan_l,
-                        s if level == _DAN_CODE else s[:a] + _DAN + s[a + 1:]))
-            # Disjunctive guard plus unconditional DAN effect; kept literal.
-            if level == _NOR_CODE or s[i] == 1:
-                out.append((grant_l,
-                            s if s[g] == _DAN_CODE else s[:g] + _DAN + s[g + 1:]))
-        return out
-
-    return successors
-
-
-def _writes(code: int, place: int) -> tuple[int, int, int]:
-    """What writing level `code` into a slot of place value `place` adds to
-    the state's integer, indexed by the level code the slot holds (one of
-    the three in `PERM_LEVELS`)."""
-    return code * place, (code - 1) * place, (code - 2) * place
-
-
-def _adding_successors(actions, installed: slice, nothing_installed: bytes,
-                       width: int):
-    """`_splicing_successors`, which states the actions and their guards,
-    computed on the state read as one big-endian integer: each successor is
-    one addition, from tables indexed by the written slot's current code,
-    and one `to_bytes`. A zero addition is a self-loop, emitted as `s`
-    itself. Only well-formed encodings reach `successors`, so every code
-    indexes its table."""
-    changes = []
-    for action in actions:
-        a, g, i = action[:3]
-        wa, wg = 1 << 8 * (width - 1 - a), 1 << 8 * (width - 1 - g)
-        changes.append(action + (1 << 8 * (width - 1 - i),
-                                 _writes(_NOR_CODE, wa), _writes(_DAN_CODE, wa),
-                                 _writes(_DAN_CODE, wg)))
-
-    def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
-        can_install = s[installed] == nothing_installed
-        n = int.from_bytes(s)
-        out = []
-        for (a, g, i, install_l, ask_nor_l, ask_dan_l, grant_l,
-             install, ask_nor, ask_dan, grant) in changes:
-            if can_install:  # the slot holds 0, as nothing is installed
-                out.append((install_l, (n + install).to_bytes(width)))
-            level = s[a]
-            d = ask_nor[level]
-            out.append((ask_nor_l, (n + d).to_bytes(width) if d else s))
-            d = ask_dan[level]
-            out.append((ask_dan_l, (n + d).to_bytes(width) if d else s))
-            if level == _NOR_CODE or s[i] == 1:
-                d = grant[s[g]]
-                out.append((grant_l, (n + d).to_bytes(width) if d else s))
-        return out
-
-    return successors

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,18 @@ def run_cli(capsys):
         return code, out, err
 
     return run
+
+
+@pytest.fixture
+def build_peak():
+    """The traced peak, in bytes, of allocations made by `build(arg)`."""
+
+    def peak(build, arg) -> int:
+        tracemalloc.start()
+        try:
+            build(arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -28,9 +28,10 @@ def cs1_initial(n):
 def cs1_successors(state):
     asked, granted, installed = state
     n = len(asked)
+    nothing_installed = all(v == 0 for v in installed)
     out = []
     for r in range(n):
-        if all(v == 0 for v in installed):
+        if nothing_installed:
             out.append((("InstallOrder", r),
                         (asked, granted, installed[:r] + (1,) + installed[r + 1:])))
         for p in ("NOR", "DAN"):

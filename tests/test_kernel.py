@@ -415,6 +415,21 @@ class TestReachableStats:
         assert diameters == sorted(diameters)
 
 
+class TestWithInvariants:
+    def test_a_repeated_name_keeps_every_predicate_in_order(self):
+        system = graph_system({}, ["s"], invariants=(
+            ("a", lambda n: True), ("b", lambda n: True), ("a", lambda n: False)))
+        restricted = system.with_invariants(["b", "a"])
+        assert restricted.invariant_names == ("b", "a", "a")
+        assert check(restricted).violated_invariant == "a"
+        assert check(system.with_invariants(["b"])).verdict is Verdict.PASS
+
+    def test_a_name_requested_twice_is_checked_twice(self):
+        system = graph_system({}, ["s"], invariants=(("a", lambda n: True),))
+        report = check(system.with_invariants(["a", "a"]))
+        assert report.invariants_checked == ("a", "a")
+
+
 class TestTraceReplayInvariant:
     def test_labels_reproduce_recorded_states(self):
         edges = {

@@ -195,6 +195,16 @@ class TestReplay:
         assert not result
         assert result.divergent_step == 2
 
+    def test_violation_of_a_repeated_name_replays(self, cs1_system):
+        # `check` names the first failing predicate; replay must accept the
+        # final state when any predicate under that name fails.
+        system = replace(cs1_system, invariants=(("a", lambda s: True),
+                                                 ("a", lambda s: False)))
+        for restricted in (system, system.with_invariants(["a"])):
+            report = check(restricted)
+            assert report.violated_invariant == "a"
+            assert replay(render_structured(report), restricted)
+
     def test_pass_document_is_a_document_error(self, pass_report, cs1_system):
         with pytest.raises(ReplayDocumentError, match="no trace"):
             replay(render_structured(pass_report), cs1_system)

@@ -4,6 +4,7 @@ totality on arbitrary input."""
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
@@ -253,9 +254,17 @@ class TestDirectDefinitions:
         (ScenarioDef("custom_permissions", {"apps": 3}, (AppSpec("m"),),
                      ("escalation_free",)),
          "^'apps' is not valid for model custom_permissions$"),
+        *((ScenarioDef("aps_cs1", {"apps": apps}, (), ("ApsTypeOK",)),
+           f"^aps_cs1 needs an integer app count, not {re.escape(repr(apps))}$")
+          for apps in (True, 2.5, "3")),
+        *((ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",), limit),
+           f"^max_states must be an integer, not {re.escape(repr(limit))}$")
+          for limit in (True, 2.5, "5")),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
             "custom without apps", "duplicate app ids", "unknown invariant",
-            "max_states 0", "cs1 with app specs", "custom with apps"])
+            "max_states 0", "cs1 with app specs", "custom with apps",
+            "apps True", "apps 2.5", "apps '3'",
+            "max_states True", "max_states 2.5", "max_states '5'"])
     def test_rejected_when_built_or_checked(self, definition, problem):
         with pytest.raises(ConfigurationError, match=problem):
             check(build_system(definition),
