@@ -321,6 +321,15 @@ def reconstruct_trace(system: TransitionSystem, states: Sequence[bytes],
     return Trace(tuple(reversed(steps)), invariant_name, system.variables)
 
 
+def validate_max_states(max_states) -> None:
+    """Raise :class:`ConfigurationError` unless `max_states` is an `int` of
+    at least 1 (`bool` excluded)."""
+    if type(max_states) is not int:
+        raise ConfigurationError(f"max_states must be an integer, not {max_states!r}")
+    if max_states < 1:
+        raise ConfigurationError("max_states must be at least 1")
+
+
 def check(system: TransitionSystem,
           options: CheckOptions | None = None) -> CheckReport:
     """Breadth-first exhaustive exploration with invariant checking.
@@ -342,11 +351,7 @@ def check(system: TransitionSystem,
     consumed, the one being looked at included.
     """
     opts = options or CheckOptions()
-    if type(opts.max_states) is not int:
-        raise ConfigurationError(
-            f"max_states must be an integer, not {opts.max_states!r}")
-    if opts.max_states < 1:
-        raise ConfigurationError("max_states must be at least 1")
+    validate_max_states(opts.max_states)
     if not system.initial_states:
         raise ConfigurationError(f"model {system.name!r} declares no initial state")
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..kernel import (ActionLabel, Record, TransitionSystem, VariableDecl,
-                      canonical_encode, variable_slices)
+                      canonical_encode)
 
 NORMAL = "normal"
 DANGEROUS = "dangerous"
@@ -66,6 +66,9 @@ class AppSpec(Record):
 
     def __init__(self, id: str, declares: tuple[PermissionDeclaration, ...] = (),
                  requests: tuple[str, ...] = ()):
+        if isinstance(requests, str):
+            raise ConfigurationError(f"app {id!r}: requests must be a tuple of "
+                                     f"names, not the string {requests!r}")
         decls = tuple(sorted(declares, key=lambda d: d.name))
         names = [d.name for d in decls]
         if len(set(names)) != len(names):
@@ -82,64 +85,66 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         raise ConfigurationError("custom_permissions needs at least one app")
     if len({a.id for a in apps}) != len(apps):
         raise ConfigurationError("app ids must be unique")
-
-    ids = tuple(a.id for a in apps)
-    names = tuple(sorted({d.name for a in apps for d in a.declares}))
-    pairs = tuple((a.id, n) for a in apps for n in a.requests)
     if any(":" in a.id for a in apps):
         # ":" separates app and name in the grants variable's keys.
         raise ConfigurationError("app ids must not contain ':'")
+
+    ids = tuple(a.id for a in apps)
+    names = tuple(sorted({d.name for a in apps for d in a.declares}))
+    name_at = {n: j for j, n in enumerate(names)}
+    # Installed slots come first, then the registry's level and definer
+    # slots, then one grant slot per request, numbered by `grant`. Slot i
+    # sits at bit offset top - 8 * i of the state read as one big-endian
+    # integer.
+    level_at, definer_at = len(ids), len(ids) + len(names)
+    grant = definer_at + len(names)
+    width = grant + sum(len(a.requests) for a in apps)
+    top = 8 * (width - 1)
+
+    # One pass over the apps. Per app, its plan: installed slot and offset,
+    # Install label, per declared name (level slot, level code and offset,
+    # definer code and offset), and per request of a declared name (level
+    # slot, grant slot, labels, grant offset); other requests are never
+    # enabled. Per name: its dangerous definers' installed slots and its
+    # grant slots.
+    plans, grant_keys = [], []
+    definers: dict[str, list[int]] = {}
+    requested: dict[str, list[int]] = {}
+    for k, app in enumerate(apps):
+        declares = []
+        for d in app.declares:
+            j = name_at[d.name]
+            declares.append((level_at + j, _REGISTRY_LEVELS.index(d.level),
+                             top - 8 * (level_at + j), k + 1, top - 8 * (definer_at + j)))
+            if d.level == DANGEROUS:
+                definers.setdefault(d.name, []).append(k)
+        requests = []
+        for n in app.requests:
+            grant_keys.append(f"{app.id}:{n}")
+            if n in name_at:
+                requests.append((
+                    level_at + name_at[n], grant,
+                    ActionLabel("Request", (("a", app.id), ("n", n))),
+                    ActionLabel("UserAllow", (("a", app.id), ("n", n))),
+                    ActionLabel("UserDeny", (("a", app.id), ("n", n))),
+                    top - 8 * grant))
+                requested.setdefault(n, []).append(grant)
+            grant += 1
+        plans.append((k, top - 8 * k, ActionLabel("Install", (("a", app.id),)),
+                       declares, requests))
+
     decls = (
         VariableDecl("installed", ids, (0, 1)),
         VariableDecl("registryLevel", names, _REGISTRY_LEVELS),
         VariableDecl("registryDefiner", names, ("",) + ids),
-        VariableDecl("grants", tuple(f"{a}:{n}" for a, n in pairs), _GRANT_MODES),
+        VariableDecl("grants", tuple(grant_keys), _GRANT_MODES),
     )
-    installed_at, level_at, definer_at, grant_at = (
-        where.start for where in variable_slices(decls))
     initial = canonical_encode(decls, {
         "installed": dict.fromkeys(ids, 0),
         "registryLevel": dict.fromkeys(names, ""),
         "registryDefiner": dict.fromkeys(names, ""),
-        "grants": dict.fromkeys(decls[3].keys, ""),
+        "grants": dict.fromkeys(grant_keys, ""),
     })
-    name_at = {n: j for j, n in enumerate(names)}
-    grant_slots = {pair: grant_at + p for p, pair in enumerate(pairs)}
-
-    # Per app: its installed slot, its Install label, the registry entries
-    # it writes on install where a name is still unclaimed (level slot,
-    # level code, definer slot, definer code), and its requests in name
-    # order (level slot, grant slot, labels, and the bit offset of the grant
-    # slot in the state read as one big-endian integer). A request for a
-    # name nobody declares is never enabled, so it is left out.
-    width = len(initial)
-    plans = []
-    for k, app in enumerate(apps):
-        declares = tuple(
-            (level_at + name_at[d.name], _REGISTRY_LEVELS.index(d.level),
-             definer_at + name_at[d.name], k + 1)
-            for d in app.declares)
-        requests = []
-        for n in app.requests:
-            if n in name_at:
-                grant_slot = grant_slots[(app.id, n)]
-                requests.append((
-                    level_at + name_at[n], grant_slot,
-                    ActionLabel("Request", (("a", app.id), ("n", n))),
-                    ActionLabel("UserAllow", (("a", app.id), ("n", n))),
-                    ActionLabel("UserDeny", (("a", app.id), ("n", n))),
-                    8 * (width - 1 - grant_slot)))
-        plans.append((installed_at + k, ActionLabel("Install", (("a", app.id),)),
-                      declares, requests))
-
-    def install(s: bytes, slot: int, declares) -> bytes:
-        t = bytearray(s)
-        t[slot] = 1
-        for level_slot, level, definer_slot, definer in declares:
-            if not t[level_slot]:
-                t[level_slot] = level
-                t[definer_slot] = definer
-        return bytes(t)
 
     def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
         """Per app ascending by id: Install if not installed, else the
@@ -148,18 +153,22 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
         normal-level name is granted automatically; a dangerous-level name
         forks on the user's allow/deny decision.
 
-        A request branch writes a grant slot that holds 0, so its successor
-        is one addition to the state read as an integer and one
-        `to_bytes`. Codes are shifted into place here, so that the build
-        keeps no state-wide integer per request."""
+        Every slot an action writes holds 0 (Install's installed bit and
+        each unclaimed name's level and definer; a request's grant slot), so
+        a successor is the state read as an integer plus each code shifted
+        to its slot's offset, and one `to_bytes`. Shifting here keeps the
+        build free of state-wide integers."""
         n = int.from_bytes(s)
         out = []
-        for slot, install_label, declares, requests in plans:
+        for slot, shift, install_l, declares, requests in plans:
             if not s[slot]:
-                out.append((install_label, install(s, slot, declares)))
+                t = n + (1 << shift)
+                for level_slot, level, level_shift, definer, definer_shift in declares:
+                    if not s[level_slot]:
+                        t += (level << level_shift) + (definer << definer_shift)
+                out.append((install_l, t.to_bytes(width)))
                 continue
-            for (level_slot, grant_slot, request_l, allow_l, deny_l,
-                 shift) in requests:
+            for level_slot, grant_slot, request_l, allow_l, deny_l, shift in requests:
                 level = s[level_slot]
                 if not level or s[grant_slot]:
                     continue
@@ -170,17 +179,6 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
                     out.append((deny_l, (n + (_DENIED_CODE << shift)).to_bytes(width)))
         return out
 
-    # Per name some app declares dangerous and some app requests: the
-    # installed slots of its dangerous definers and the grant slots of its
-    # requests.
-    definers: dict[str, list[int]] = {}
-    for k, app in enumerate(apps):
-        for d in app.declares:
-            if d.level == DANGEROUS:
-                definers.setdefault(d.name, []).append(installed_at + k)
-    requested: dict[str, list[int]] = {}
-    for (_, n), slot in grant_slots.items():
-        requested.setdefault(n, []).append(slot)
     watched = tuple((definers[n], requested[n]) for n in names
                     if n in definers and n in requested)
     # The codes of every watched grant slot, read in one call: a tuple, or

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import CheckerError
 from .kernel import DEFAULT_MAX_STATES, Record
-from .models import AppSpec, PermissionDeclaration, get_model, model_names
+from .models import IDENTIFIER, AppSpec, PermissionDeclaration, get_model, model_names
 
 SYNTAX = "syntax"
 SEMANTIC = "semantic"
@@ -32,7 +32,7 @@ SEMANTIC = "semantic"
 # non-blank character. Letters and digits are ASCII only. Blanks (space,
 # tab, CR) match nothing, so `finditer` skips them.
 _LEXEME = re.compile(
-    r"(?P<newline>\n)|(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)|(?P<int>[0-9][0-9_]*)"
+    rf"(?P<newline>\n)|(?P<ident>{IDENTIFIER.pattern})|(?P<int>[0-9][0-9_]*)"
     r"|(?P<lbrace>\{)|(?P<rbrace>\})|(?P<comment>#[^\n]*)|(?P<bad>[^ \t\r])")
 
 # Directives that take one value and may appear at most once:
@@ -64,7 +64,8 @@ class ScenarioError(CheckerError):
 class ScenarioDef(Record):
     """A parsed scenario: which model to build and what to check on it.
 
-    `params` is a read-only view of a copy of the mapping passed in."""
+    `params` is a read-only view of a copy of the mapping passed in;
+    `app_specs` and `check_list` are kept as tuples."""
 
     __slots__ = ("model_name", "params", "app_specs", "check_list", "max_states")
 
@@ -72,7 +73,7 @@ class ScenarioDef(Record):
                  app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
                  max_states: int = DEFAULT_MAX_STATES):
         super().__init__(model_name, MappingProxyType(dict(params or {})),
-                         app_specs, check_list, max_states)
+                         tuple(app_specs), tuple(check_list), max_states)
 
     def _values(self) -> tuple:
         # A mapping proxy neither hashes nor pickles; its sorted items do both,

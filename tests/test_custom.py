@@ -37,6 +37,13 @@ class TestAppSpec:
             AppSpec("x", (PermissionDeclaration("P", "normal"),
                           PermissionDeclaration("P", "dangerous")))
 
+    def test_a_string_of_requests_is_rejected(self):
+        # Sorting its characters would request 'A', 'C', 'E', 'M' and 'R'.
+        with pytest.raises(ConfigurationError, match=(
+                "^app 'm': requests must be a tuple of names, "
+                "not the string 'CAMERA'$")):
+            AppSpec("m", (), "CAMERA")
+
     def test_unknown_protection_level_rejected(self):
         with pytest.raises(ConfigurationError):
             PermissionDeclaration("P", "medium")
@@ -307,14 +314,17 @@ class TestSystemPackaging:
             custom.build_system(apps)
 
 
-def shaped_apps(k: int, m: int) -> tuple[AppSpec, ...]:
-    """`k` apps and `m` names: app{i} declares P{j} when j % k == i (normal
-    if j is odd, else dangerous), and every app requests every name. The
-    2 x 5 shape is the benchmark's custom_pass scenario."""
+def shaped_apps(k: int, m: int, definers: int = 1) -> tuple[AppSpec, ...]:
+    """`k` apps and `m` names: app{i} declares P{j} when (j - i) % k is
+    below `definers` (its first definer declares it normal if j is odd,
+    else dangerous, and each next definer flips the level), and every app
+    requests every name. The 2 x 5 shape with one definer per name is the
+    benchmark's custom_pass scenario."""
     names = tuple(f"P{j}" for j in range(m))
     return tuple(
-        AppSpec(f"app{i}", tuple(PermissionDeclaration(n, ("dangerous", "normal")[j % 2])
-                                 for j, n in enumerate(names) if j % k == i), names)
+        AppSpec(f"app{i}", tuple(
+            PermissionDeclaration(n, ("dangerous", "normal")[(j + (j - i) % k) % 2])
+            for j, n in enumerate(names) if (j - i) % k < definers), names)
         for i in range(k))
 
 
@@ -389,6 +399,17 @@ class TestSuccessorsMatchTheOracle:
         # 5 installed, 10 level, 10 definer and 50 grant slots.
         assert len(custom.build_system(apps).initial_states[0]) == 75
         self.assert_matches_oracle(apps, depth=4)
+
+    def test_a_wide_encoding_with_two_definers_per_name(self):
+        # An Install then also meets names that the other definer claimed:
+        # with both of P1's definers installed, either may hold it.
+        apps = shaped_apps(5, 10, definers=2)
+        system = custom.build_system(apps)
+        assert len(system.initial_states[0]) == 75
+        states = self.assert_matches_oracle(apps, depth=4)
+        assert {registry(system, s)["P1"] for s in states
+                if installed(system, s) >= {"app0", "app1"}} == {
+            ("dangerous", "app0"), ("normal", "app1")}
 
 
 def unscreened_escalation_free(system, apps, state: bytes) -> bool:

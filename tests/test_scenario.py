@@ -8,10 +8,12 @@ import re
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import CheckOptions, check
-from apscheck.models import AppSpec, PermissionDeclaration, build_system
+from apscheck.models import AppSpec, PermissionDeclaration, build_system, get_model
 from apscheck.scenario import (
     DEFAULT_MAX_STATES,
     ScenarioDef,
@@ -213,6 +215,58 @@ class TestRoundTrip:
         assert parse_scenario(text) == d
 
 
+def mostly(statable, odd):
+    """A value scenario text can state, or one time in six one drawn from
+    `odd`, which may not be."""
+    return st.integers(0, 5).flatmap(lambda i: odd if i == 0 else statable)
+
+
+# Identifiers (keywords included), or text the lexer would split, reject or
+# read as a comment ("a b", "1P", "P#x", "", "é").
+_WORDS = mostly(st.sampled_from(("m", "P", "_x", "a.b", "app", "level")),
+                st.text(alphabet="aP1_.#: \né", max_size=3))
+_LEVELS = st.sampled_from(("normal", "dangerous"))
+
+
+@st.composite
+def definitions(draw) -> ScenarioDef:
+    model = draw(st.sampled_from(("aps_cs1", "custom_permissions")))
+    invariants = get_model(model).invariants
+    if model == "aps_cs1":
+        params, app_ids = st.fixed_dictionaries({"apps": st.integers(1, 3)}), st.just([])
+    else:
+        params, app_ids = st.just({}), st.lists(_WORDS, min_size=1, max_size=3, unique=True)
+    apps = []
+    for app_id in draw(mostly(app_ids, st.lists(_WORDS, max_size=3))):
+        declares = draw(st.dictionaries(_WORDS.filter(bool), _LEVELS, max_size=2))
+        apps.append(AppSpec(app_id, tuple(PermissionDeclaration(n, level)
+                                          for n, level in declares.items()),
+                            tuple(draw(st.lists(_WORDS, max_size=2)))))
+    # Lists where the parser gives tuples: the definition keeps tuples.
+    return ScenarioDef(
+        model,
+        draw(mostly(params, st.dictionaries(st.sampled_from(("apps", "x")),
+                                            st.sampled_from((0, 1, True, 2.5))))),
+        apps,
+        draw(mostly(st.lists(st.sampled_from(invariants), min_size=1, max_size=2),
+                    st.lists(st.sampled_from(
+                        ("ApsTypeOK", "ApsConsistent", "escalation_free")),
+                        max_size=2))),
+        draw(mostly(st.sampled_from((1, 50, DEFAULT_MAX_STATES)),
+                    st.sampled_from((0, 2.5, True, "5")))),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(definitions())
+def test_a_definition_that_builds_parses_back_equal(definition):
+    try:
+        build_system(definition)
+    except ConfigurationError:
+        return
+    assert parse_scenario(render_scenario(definition)) == definition
+
+
 class TestValidateSemantics:
     def test_valid_definition_has_no_findings(self):
         d = parse_scenario("model aps_cs1\napps 1\n")
@@ -269,6 +323,33 @@ class TestDirectDefinitions:
         with pytest.raises(ConfigurationError, match=problem):
             check(build_system(definition),
                   CheckOptions(max_states=definition.max_states))
+
+    # Each of these renders to text that does not parse, or that parses as
+    # a different definition, so building it must fail.
+    @pytest.mark.parametrize("definition,problem", [
+        (ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",), 2.5),
+         "^max_states must be an integer, not 2.5$"),
+        (ScenarioDef("custom_permissions", {}, (AppSpec("my app"),),
+                     ("escalation_free",)),
+         "^" + re.escape("app 'my app': 'my app' is not an identifier (a letter "
+                         "or '_', then letters, digits, '_' or '.')") + "$"),
+        (ScenarioDef("custom_permissions", {},
+                     (AppSpec("m", (PermissionDeclaration("1P", "normal"),)),),
+                     ("escalation_free",)),
+         "^app 'm': '1P' is not an identifier"),
+        (ScenarioDef("custom_permissions", {},
+                     (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
+                     ("escalation_free",)),
+         "^app 'm': 'P#x' is not an identifier"),
+        (ScenarioDef("aps_cs1", {"apps": 1, "x": 1}, (), ("ApsTypeOK",)),
+         "^'x' is not valid for model aps_cs1$"),
+        (ScenarioDef("aps_cs1", {"apps": 1}),
+         "^check_list must name at least one invariant$"),
+    ], ids=["max_states 2.5", "app id with a blank", "name with a leading digit",
+            "name with a comment", "cs1 with an unknown parameter", "no invariants"])
+    def test_rejected_when_built(self, definition, problem):
+        with pytest.raises(ConfigurationError, match=problem):
+            build_system(definition)
 
 
 class TestTotality:
