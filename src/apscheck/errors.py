@@ -8,7 +8,14 @@ class CheckerError(Exception):
 
 
 class ConfigurationError(CheckerError):
-    """A model or checker was instantiated with unusable parameters."""
+    """A model or checker was instantiated with unusable parameters.
+
+    `field` is the path of the scenario field at fault, such as
+    `("params", "apps")` or `("app_specs", 1)`, or `()` for none."""
+
+    def __init__(self, message: str, field: tuple = ()):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(CheckerError):

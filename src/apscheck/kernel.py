@@ -325,9 +325,10 @@ def validate_max_states(max_states) -> None:
     """Raise :class:`ConfigurationError` unless `max_states` is an `int` of
     at least 1 (`bool` excluded)."""
     if type(max_states) is not int:
-        raise ConfigurationError(f"max_states must be an integer, not {max_states!r}")
+        raise ConfigurationError(f"max_states must be an integer, not {max_states!r}",
+                                 ("max_states",))
     if max_states < 1:
-        raise ConfigurationError("max_states must be at least 1")
+        raise ConfigurationError("max_states must be at least 1", ("max_states",))
 
 
 def check(system: TransitionSystem,

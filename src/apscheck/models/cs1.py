@@ -46,14 +46,20 @@ def variable_decls(app_count: int) -> tuple[VariableDecl, ...]:
     )
 
 
+def validate_app_count(app_count) -> None:
+    """Raise :class:`ConfigurationError` unless `app_count` is an `int` of
+    at least 1 (`bool` excluded)."""
+    if type(app_count) is not int:
+        raise ConfigurationError(
+            f"aps_cs1 needs an integer app count, not {app_count!r}", ("params", "apps"))
+    if app_count < 1:
+        raise ConfigurationError("app count must be at least 1", ("params", "apps"))
+
+
 def build_system(app_count: int) -> TransitionSystem:
     """Package the machine as a kernel TransitionSystem over byte-encoded
     states: one slot per app in each of the three variables."""
-    if type(app_count) is not int:
-        raise ConfigurationError(
-            f"aps_cs1 needs an integer app count, not {app_count!r}")
-    if app_count < 1:
-        raise ConfigurationError("aps_cs1 needs at least one app")
+    validate_app_count(app_count)
     decls = variable_decls(app_count)
     ids = app_ids(app_count)
     asked, granted, installed = variable_slices(decls)

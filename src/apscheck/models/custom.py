@@ -77,17 +77,27 @@ class AppSpec(Record):
         super().__init__(id, decls, tuple(sorted(set(requests))))
 
 
+def validate_apps(apps: Sequence[AppSpec]) -> None:
+    """Raise :class:`ConfigurationError` unless there is an app, no app id
+    repeats and none contains ':'."""
+    if not apps:
+        raise ConfigurationError(f"model {MODEL_NAME} requires at least one app block",
+                                 ("app_specs",))
+    seen: set[str] = set()
+    for i, app in enumerate(apps):
+        if app.id in seen:
+            raise ConfigurationError(f"duplicate app id {app.id!r}", ("app_specs", i))
+        if ":" in app.id:
+            # ":" separates app and name in the grants variable's keys.
+            raise ConfigurationError("app ids must not contain ':'", ("app_specs", i))
+        seen.add(app.id)
+
+
 def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
     """Package a closed-world scenario as a kernel TransitionSystem over
     byte-encoded states."""
+    validate_apps(apps)
     apps = sorted(apps, key=lambda a: a.id)
-    if not apps:
-        raise ConfigurationError("custom_permissions needs at least one app")
-    if len({a.id for a in apps}) != len(apps):
-        raise ConfigurationError("app ids must be unique")
-    if any(":" in a.id for a in apps):
-        # ":" separates app and name in the grants variable's keys.
-        raise ConfigurationError("app ids must not contain ':'")
 
     ids = tuple(a.id for a in apps)
     names = tuple(sorted({d.name for a in apps for d in a.declares}))

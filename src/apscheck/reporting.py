@@ -116,7 +116,7 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     Valid when every recorded state encodes under the system's declarations
     (:func:`~apscheck.kernel.canonical_encode` is strict: no extra variables
     or keys, every value of its domain value's type), the first state is
-    initial and carries no action, every later state is the successor the
+    initial and carries no action, every later state is a successor the
     recorded action produces, and the final state fails a predicate listed
     under the named invariant.
     Raises :class:`ReplayDocumentError` when the document cannot be
@@ -157,16 +157,16 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     for index, step in enumerate(steps[1:], start=2):
         action = step.get("action")
         params = step.get("params") or {}
-        match = next((successor for label, successor in system.successors(current)
-                      if label.name == action and dict(label.params) == params), None)
-        if match is None:
+        matches = [successor for label, successor in system.successors(current)
+                   if label.name == action and dict(label.params) == params]
+        if not matches:
             return ReplayResult(False, index,
                                 f"action {action!r} with params {params!r} is "
                                 "not enabled here")
-        if match != recorded[index - 1]:
+        current = recorded[index - 1]
+        if current not in matches:
             return ReplayResult(False, index, "recorded state differs from the "
                                               "action's successor")
-        current = match
 
     if all(predicate(current) for name, predicate in system.invariants
            if name == invariant_name):

@@ -21,9 +21,9 @@ import re
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .errors import CheckerError
+from .errors import CheckerError, ConfigurationError
 from .kernel import DEFAULT_MAX_STATES, Record
-from .models import IDENTIFIER, AppSpec, PermissionDeclaration, get_model, model_names
+from .models import IDENTIFIER, AppSpec, PermissionDeclaration, get_model, validate
 
 SYNTAX = "syntax"
 SEMANTIC = "semantic"
@@ -145,7 +145,7 @@ def parse_scenario(source: str) -> ScenarioDef:
     # Each single-valued directive seen: its value token and converted value.
     single: dict[str, tuple[_Token, object]] = {}
     checks: list[_Token] = []
-    blocks: list[tuple[_Token, list[tuple[_Token, str]], list[_Token]]] = []
+    blocks: list[tuple[_Token, AppSpec]] = []
 
     for tok in stream:
         if tok.kind != "ident":
@@ -166,82 +166,40 @@ def parse_scenario(source: str) -> ScenarioDef:
         else:
             raise ScenarioError(f"unknown directive {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)
-    model_tok, _ = single.get("model", (None, None))
-    apps_tok, apps_value = single.get("apps", (None, 0))
+    if "model" not in single:
+        raise ScenarioError("missing 'model' directive", 1, 1)
+    model_tok, model_name = single["model"]
+    apps_tok, apps_value = single.get("apps", (None, None))
     max_tok, max_value = single.get("max_states", (None, DEFAULT_MAX_STATES))
 
-    # Semantic resolution, every finding located in the source.
-    if model_tok is None:
-        raise ScenarioError("missing 'model' directive", 1, 1)
-    if model_tok.text not in model_names():
-        raise ScenarioError(f"unknown model {model_tok.text!r}",
-                            model_tok.line, model_tok.column)
-    info = get_model(model_tok.text)
-
-    params: dict[str, int] = {}
-    if "apps" in info.params:
-        if apps_tok is None:
-            raise ScenarioError(f"model {info.name} requires an 'apps' directive",
-                                model_tok.line, model_tok.column)
-        if apps_value < 1:
-            raise ScenarioError("app count must be at least 1",
-                                apps_tok.line, apps_tok.column)
-        params["apps"] = apps_value
-        if blocks:
-            first = blocks[0][0]
-            raise ScenarioError(f"app blocks are not valid for model {info.name}",
-                                first.line, first.column)
-    else:
-        if apps_tok is not None:
-            raise ScenarioError(f"'apps' is not valid for model {info.name}",
-                                apps_tok.line, apps_tok.column)
-        if not blocks:
-            raise ScenarioError(f"model {info.name} requires at least one app block",
-                                model_tok.line, model_tok.column)
-
-    app_specs: dict[str, AppSpec] = {}
-    for id_tok, declares, requests in blocks:
-        if id_tok.text in app_specs:
-            raise ScenarioError(f"duplicate app id {id_tok.text!r}",
-                                id_tok.line, id_tok.column)
-        decls: dict[str, PermissionDeclaration] = {}
-        for name_tok, level in declares:
-            if name_tok.text in decls:
-                raise ScenarioError(
-                    f"app {id_tok.text!r} declares {name_tok.text!r} more than once",
-                    name_tok.line, name_tok.column)
-            decls[name_tok.text] = PermissionDeclaration(name_tok.text, level)
-        app_specs[id_tok.text] = AppSpec(id_tok.text, tuple(decls.values()),
-                                         tuple(t.text for t in requests))
-
-    for check_tok in checks:
-        if check_tok.text not in info.invariants:
-            raise ScenarioError(
-                f"model {info.name} has no invariant named {check_tok.text!r}",
-                check_tok.line, check_tok.column)
-    check_list = tuple(t.text for t in checks) or info.invariants
-
-    if max_tok is not None and max_value < 1:
-        raise ScenarioError("max_states must be at least 1",
-                            max_tok.line, max_tok.column)
-
-    return ScenarioDef(
-        model_name=info.name,
-        params=params,
-        app_specs=tuple(app_specs.values()),
-        check_list=check_list,
-        max_states=max_value,
-    )
+    # `models.validate` decides whether the definition is valid; a defect is
+    # located at the token its field was read from, else at the model name.
+    try:
+        scenario = ScenarioDef(
+            model_name=model_name,
+            params={} if apps_tok is None else {"apps": apps_value},
+            app_specs=tuple(spec for _, spec in blocks),
+            check_list=tuple(t.text for t in checks) or get_model(model_name).invariants,
+            max_states=max_value,
+        )
+        validate(scenario)
+    except ConfigurationError as exc:
+        tokens = {("params", "apps"): apps_tok, ("max_states",): max_tok}
+        tokens.update((("app_specs", i), id_tok) for i, (id_tok, _) in enumerate(blocks))
+        tokens.update((("check_list", i), tok) for i, tok in enumerate(checks))
+        tok = tokens.get(exc.field) or model_tok
+        raise ScenarioError(str(exc), tok.line, tok.column) from None
+    return scenario
 
 
-def _parse_app_block(stream: _TokenStream):
+def _parse_app_block(stream: _TokenStream) -> tuple[_Token, AppSpec]:
     id_tok = stream.expect("ident", "an app id")
     stream.expect("lbrace", "'{'")
-    declares: list[tuple[_Token, str]] = []
-    requests: list[_Token] = []
+    declares: dict[str, PermissionDeclaration] = {}
+    requests: list[str] = []
     for tok in stream:
         if tok.kind == "rbrace":
-            return id_tok, declares, requests
+            return id_tok, AppSpec(id_tok.text, tuple(declares.values()), tuple(requests))
         if tok.kind != "ident" or tok.text not in ("declare", "request"):
             raise ScenarioError(
                 f"expected 'declare', 'request' or '}}', found {tok.text!r}",
@@ -254,9 +212,13 @@ def _parse_app_block(stream: _TokenStream):
                 raise ScenarioError(
                     f"unknown protection level {level_tok.text!r}",
                     level_tok.line, level_tok.column)
-            declares.append((name_tok, level_tok.text))
+            if name_tok.text in declares:
+                raise ScenarioError(
+                    f"app {id_tok.text!r} declares {name_tok.text!r} more than once",
+                    name_tok.line, name_tok.column)
+            declares[name_tok.text] = PermissionDeclaration(name_tok.text, level_tok.text)
         else:
-            requests.append(stream.expect("ident", "a permission name"))
+            requests.append(stream.expect("ident", "a permission name").text)
     raise ScenarioError(f"unterminated app block for {id_tok.text!r}",
                         id_tok.line, id_tok.column, SYNTAX)
 
@@ -286,9 +248,8 @@ def validate_semantics(scenario: ScenarioDef) -> list[str]:
     """Advisories on a scenario that is otherwise valid: each name an app
     requests but no app declares, which can never be granted.
 
-    Defects are not reported here: :func:`parse_scenario` rejects them in
-    scenario text, and building or checking the system rejects them in a
-    directly constructed definition."""
+    Defects are not reported here: :func:`apscheck.models.validate` rejects
+    them, and :func:`parse_scenario` locates its finding in scenario text."""
     declared = {d.name for a in scenario.app_specs for d in a.declares}
     return [f"app {app.id!r} requests {name!r}, which no app declares"
             for app in scenario.app_specs for name in app.requests

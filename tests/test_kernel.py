@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from apscheck.kernel import (
     decode,
     reconstruct_trace,
 )
+from apscheck.reporting import render_structured, replay
 
 
 def graph_system(edges: dict[str, list[tuple[str, str]]], initial: list[str],
@@ -448,3 +450,20 @@ class TestTraceReplayInvariant:
             assert matches, f"label {step.label.render()} not enabled"
             assert matches[0] == step.state
             current = matches[0]
+
+    def test_a_label_with_two_successors_replays_through_either(self):
+        system = graph_system({"s0": [("Go", "s1"), ("Go", "s2")]}, ["s0"],
+                              invariants=(("not_s2", lambda n: n != "s2"),))
+        report = check(system)
+        assert [decode(system.variables, step.state) for step in report.trace.steps] == [
+            {"node": {"v": "s0"}}, {"node": {"v": "s2"}}]
+        document = render_structured(report)
+        assert replay(document, system)
+
+        doc = json.loads(document)
+        doc["trace"][1]["state"] = {"node": {"v": "s0"}}
+        assert replay(json.dumps(doc), system) == (
+            False, 2, "recorded state differs from the action's successor")
+        doc["trace"][1]["action"] = "Stop"
+        assert replay(json.dumps(doc), system) == (
+            False, 2, "action 'Stop' with params {} is not enabled here")

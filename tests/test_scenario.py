@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from apscheck.errors import ConfigurationError
 from apscheck.kernel import CheckOptions, check
-from apscheck.models import AppSpec, PermissionDeclaration, build_system, get_model
+from apscheck.models import (AppSpec, PermissionDeclaration, build_system, cs1,
+                             get_model, validate)
 from apscheck.scenario import (
     DEFAULT_MAX_STATES,
     ScenarioDef,
@@ -191,6 +192,80 @@ class TestParseErrors:
     def test_lexical_rules_and_which_error_wins(self, source, report):
         assert str(parse_error(source)) == report
 
+    @pytest.mark.parametrize("source,report", [
+        ("apps 1\n", "1:1: semantic: missing 'model' directive"),
+        ("model zzz\n", "1:7: semantic: unknown model 'zzz'"),
+        ("model aps_cs1\napps 1\nmodel aps_cs1\n",
+         "3:7: semantic: duplicate 'model' directive"),
+        ("model aps_cs1\ncheck ApsTypeOK\n",
+         "1:7: semantic: model aps_cs1 requires an 'apps' directive"),
+        ("model aps_cs1\napps 0\n", "2:6: semantic: app count must be at least 1"),
+        ("model aps_cs1\napps 1\napp m { }\n",
+         "3:5: semantic: app blocks are not valid for model aps_cs1"),
+        ("model custom_permissions\napps 2\napp m { declare P level normal }\n",
+         "2:6: semantic: 'apps' is not valid for model custom_permissions"),
+        ("model custom_permissions\ncheck escalation_free\n",
+         "1:7: semantic: model custom_permissions requires at least one app block"),
+        ("model custom_permissions\napp m { }\n  app m { }\n",
+         "3:7: semantic: duplicate app id 'm'"),
+        ("model custom_permissions\napp m {\n  declare P level normal\n"
+         "  declare P level dangerous\n}\n",
+         "4:11: semantic: app 'm' declares 'P' more than once"),
+        ("model custom_permissions\napp m { declare P level medium }\n",
+         "2:25: semantic: unknown protection level 'medium'"),
+        ("model aps_cs1\napps 1\ncheck ApsTypeOK\n  check Nope\n",
+         "4:9: semantic: model aps_cs1 has no invariant named 'Nope'"),
+        ("model aps_cs1\napps 1\nmax_states 0\n",
+         "3:12: semantic: max_states must be at least 1"),
+        ("model aps_cs1\napps 0\napp m { }\n",
+         "2:6: semantic: app count must be at least 1"),
+        ("model custom_permissions\napps 2\n",
+         "2:6: semantic: 'apps' is not valid for model custom_permissions"),
+        ("app m { }\nmodel aps_cs1\n",
+         "2:7: semantic: model aps_cs1 requires an 'apps' directive"),
+        ("check Nope\nmax_states 0\napp m { }\nmodel aps_cs1 apps 3\n",
+         "3:5: semantic: app blocks are not valid for model aps_cs1"),
+        ("model custom_permissions\napp m { }\napp v { }\napp m { }\ncheck Nope\n",
+         "4:5: semantic: duplicate app id 'm'"),
+        ("model aps_cs1\nmax_states 0\napps 1\ncheck Nope\n",
+         "4:7: semantic: model aps_cs1 has no invariant named 'Nope'"),
+        ("apps 0\napp m { }\napp m { }\ncheck Nope\nmax_states 0\nmodel zzz\n",
+         "6:7: semantic: unknown model 'zzz'"),
+        ("apps 0\napp m { }\napp m { }\ncheck Nope\nmax_states 0\n",
+         "1:1: semantic: missing 'model' directive"),
+    ], ids=["missing model", "unknown model", "duplicate directive", "cs1 without apps",
+            "cs1 with apps 0", "cs1 with an app block", "custom with apps",
+            "custom without an app block", "duplicate app id", "name declared twice",
+            "unknown protection level", "unknown invariant", "max_states 0",
+            "apps 0 before an app block", "apps before no app block",
+            "missing apps before an app block", "app block before unknown invariant",
+            "duplicate id before unknown invariant",
+            "unknown invariant before max_states 0",
+            "unknown model before everything else",
+            "missing model before everything else"])
+    def test_semantic_rules_and_which_defect_wins(self, source, report):
+        assert str(parse_error(source)) == report
+
+    @pytest.mark.parametrize("source,report", [
+        ("model zzz\napp m { declare P level normal declare P level normal }\n",
+         "2:40: semantic: app 'm' declares 'P' more than once"),
+        ("app m { declare P level normal declare P level normal }\n",
+         "1:40: semantic: app 'm' declares 'P' more than once"),
+        ("model custom_permissions\napp m { }\n"
+         "app m { declare P level normal declare P level normal }\n",
+         "3:40: semantic: app 'm' declares 'P' more than once"),
+        ("model custom_permissions\n"
+         "app m { declare P level normal declare P level normal\n",
+         "2:40: semantic: app 'm' declares 'P' more than once"),
+        ("model custom_permissions\n"
+         "app m { declare P level normal declare P level medium }\n",
+         "2:48: semantic: unknown protection level 'medium'"),
+    ], ids=["before unknown model", "before missing model", "before duplicate id",
+            "before an unterminated block", "after an unknown level"])
+    def test_a_name_declared_twice_is_reported_as_its_block_is_read(self, source,
+                                                                     report):
+        assert str(parse_error(source)) == report
+
 
 class TestRoundTrip:
     def test_cs1_round_trip(self):
@@ -290,14 +365,14 @@ class TestDirectDefinitions:
     @pytest.mark.parametrize("definition,problem", [
         (ScenarioDef(model_name="zzz"), "unknown model 'zzz'"),
         (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)),
-         "requires the 'apps' parameter"),
+         "^model aps_cs1 requires an 'apps' directive$"),
         (ScenarioDef(model_name="aps_cs1", params={"apps": 0},
-                     check_list=("ApsTypeOK",)), "at least one app"),
+                     check_list=("ApsTypeOK",)), "^app count must be at least 1$"),
         (ScenarioDef(model_name="custom_permissions",
                      check_list=("escalation_free",)), "at least one app"),
         (ScenarioDef(model_name="custom_permissions",
                      app_specs=(AppSpec("m"), AppSpec("m")),
-                     check_list=("escalation_free",)), "app ids must be unique"),
+                     check_list=("escalation_free",)), "^duplicate app id 'm'$"),
         (ScenarioDef(model_name="aps_cs1", params={"apps": 1}, check_list=("Nope",)),
          "no invariant named 'Nope'"),
         (ScenarioDef(model_name="aps_cs1", params={"apps": 1},
@@ -350,6 +425,71 @@ class TestDirectDefinitions:
     def test_rejected_when_built(self, definition, problem):
         with pytest.raises(ConfigurationError, match=problem):
             build_system(definition)
+
+    @pytest.mark.parametrize("definition,field", [
+        (ScenarioDef(model_name="zzz"), ()),
+        (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)), ("params", "apps")),
+        (ScenarioDef(model_name="aps_cs1", params={"apps": 0},
+                     check_list=("ApsTypeOK",)), ("params", "apps")),
+        (ScenarioDef(model_name="custom_permissions",
+                     check_list=("escalation_free",)), ("app_specs",)),
+        (ScenarioDef(model_name="custom_permissions",
+                     app_specs=(AppSpec("m"), AppSpec("m")),
+                     check_list=("escalation_free",)), ("app_specs", 1)),
+        (ScenarioDef(model_name="aps_cs1", params={"apps": 1}, check_list=("Nope",)),
+         ("check_list", 0)),
+        (ScenarioDef(model_name="aps_cs1", params={"apps": 1},
+                     check_list=("ApsTypeOK",), max_states=0), ("max_states",)),
+        (ScenarioDef("aps_cs1", {"apps": 1}, (AppSpec("m"),), ("ApsTypeOK",)),
+         ("app_specs", 0)),
+        (ScenarioDef("custom_permissions", {"apps": 3}, (AppSpec("m"),),
+                     ("escalation_free",)), ("params", "apps")),
+        *((ScenarioDef("aps_cs1", {"apps": apps}, (), ("ApsTypeOK",)), ("params", "apps"))
+          for apps in (True, 2.5, "3")),
+        *((ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",), limit), ("max_states",))
+          for limit in (True, 2.5, "5")),
+        (ScenarioDef("custom_permissions", {}, (AppSpec("m"), AppSpec("my app")),
+                     ("escalation_free",)), ("app_specs", 1)),
+        (ScenarioDef("custom_permissions", {},
+                     (AppSpec("m", (PermissionDeclaration("1P", "normal"),)),),
+                     ("escalation_free",)), ("app_specs", 0)),
+        (ScenarioDef("custom_permissions", {},
+                     (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
+                     ("escalation_free",)), ("app_specs", 0)),
+        (ScenarioDef("aps_cs1", {"apps": 1, "x": 1}, (), ("ApsTypeOK",)), ("params", "x")),
+        (ScenarioDef("aps_cs1", {"apps": 1}), ()),
+        (ScenarioDef("custom_permissions", {}, (AppSpec("m"),), ("escalation_free", "Nope")),
+         ("check_list", 1)),
+    ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
+            "custom without apps", "duplicate app ids", "unknown invariant",
+            "max_states 0", "cs1 with app specs", "custom with apps",
+            "apps True", "apps 2.5", "apps '3'",
+            "max_states True", "max_states 2.5", "max_states '5'",
+            "app id with a blank", "name with a leading digit", "name with a comment",
+            "cs1 with an unknown parameter", "no invariants", "second invariant unknown"])
+    def test_the_error_names_the_field_at_fault(self, definition, field):
+        for build in (validate, build_system):
+            with pytest.raises(ConfigurationError) as exc:
+                build(definition)
+            assert exc.value.field == field
+
+    def test_a_state_limit_rejected_by_check_names_its_field(self):
+        system = build_system(ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",)))
+        with pytest.raises(ConfigurationError) as exc:
+            check(system, CheckOptions(max_states=0))
+        assert exc.value.field == ("max_states",)
+
+    def test_a_huge_app_count_validates_without_building(self, monkeypatch):
+        def refuse(app_count):
+            raise AssertionError(f"built aps_cs1 with {app_count} apps")
+
+        monkeypatch.setattr(cs1, "build_system", refuse)
+        scenario = parse_scenario("model aps_cs1\napps 1_000_000_000_000")
+        assert scenario.params == {"apps": 10**12}
+        assert validate(scenario) == get_model("aps_cs1")
+        # The patch reaches the registry, so neither call above built.
+        with pytest.raises(AssertionError, match="built aps_cs1"):
+            build_system(scenario)
 
 
 class TestTotality:
