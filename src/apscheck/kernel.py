@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -292,32 +291,32 @@ class CheckReport(NamedTuple):
         return self.trace.violated_invariant if self.trace is not None else None
 
 
-def reconstruct_trace(system: TransitionSystem, states: Sequence[bytes],
-                      level_starts: Sequence[int], violating: int,
-                      invariant_name: str) -> Trace:
-    """The shortest trace to state number `violating`, from the encodings
-    `states` in discovery order and `level_starts[d]`, the number of the
-    first state at depth d. BFS first reached a state at depth d > 0 from
-    the first state of level d-1, in number order, whose successors contain
-    it, by the first label there leading to it. Deterministic `successors`
-    find both again, expanding each level below at most once; a state no
-    longer reached from the level before raises :class:`ModelIntegrityError`.
+def reconstruct_trace(system: TransitionSystem, levels: Sequence[Sequence[bytes]],
+                      depth: int, index: int, invariant_name: str) -> Trace:
+    """The shortest trace to `levels[depth][index]`, where `levels[d]` holds
+    the encodings first found at depth d, in discovery order. BFS first
+    reached a state at depth d > 0 from the first state of `levels[d-1]`,
+    in order, whose successors contain it, by the first label there leading
+    to it. Deterministic `successors` find both again, expanding each level
+    below at most once; a state no longer reached from the level before
+    raises :class:`ModelIntegrityError`.
     """
-    index = violating
     steps: list[TraceStep] = []
-    for depth in reversed(range(bisect_right(level_starts, violating) - 1)):
-        target = states[index]
+    while depth:
+        target = levels[depth][index]
         found = next(((parent, label)
-                      for parent in range(level_starts[depth], level_starts[depth + 1])
-                      for label, successor in system.successors(states[parent])
+                      for parent, state in enumerate(levels[depth - 1])
+                      for label, successor in system.successors(state)
                       if successor == target), None)
         if found is None:
+            number = sum(map(len, levels[:depth])) + index
             raise ModelIntegrityError(
-                f"state {index} at depth {depth + 1} is not a successor of any "
-                f"state at depth {depth}; successors must be deterministic")
+                f"state {number} at depth {depth} is not a successor of any state "
+                f"at depth {depth - 1}; successors must be deterministic")
         index, label = found
         steps.append(TraceStep(target, label))
-    steps.append(TraceStep(states[index], None))
+        depth -= 1
+    steps.append(TraceStep(levels[0][index], None))
     return Trace(tuple(reversed(steps)), invariant_name, system.variables)
 
 
@@ -335,13 +334,14 @@ def check(system: TransitionSystem,
           options: CheckOptions | None = None) -> CheckReport:
     """Breadth-first exhaustive exploration with invariant checking.
 
-    States are explored in a canonical order (initial states as declared,
-    successors in the model's declared action order), so the first violation
-    found, and hence the reported trace, is the same on every run. Each
-    state's invariants are evaluated once, at dequeue; the first failing
-    invariant in list order names the violation. Only encodings are stored,
-    so a violation at depth d rebuilds its trace, shortest by the BFS
-    discovery guarantee, by expanding levels 0 to d-1 at most once more (see
+    Levels are explored in depth order, each in discovery order (initial
+    states as declared, successors in the model's declared action order),
+    so the first violation found, and hence the reported trace, is the same
+    on every run. Each state's invariants are evaluated once, when its level
+    is walked; the first failing invariant in list order names the
+    violation. Only encodings are stored, one list per depth, so a violation
+    at depth d rebuilds its trace, shortest by the BFS discovery guarantee,
+    by expanding levels 0 to d-1 at most once more (see
     :func:`reconstruct_trace`). Only states not seen before are validated
     against the declarations: an encoding equal to a visited state is valid
     by construction; a malformed one raises :class:`ModelIntegrityError`.
@@ -362,22 +362,19 @@ def check(system: TransitionSystem,
     max_states = opts.max_states
     started = time.perf_counter()
 
-    # State number i is states[i]; states are expanded in number order, so
-    # the frontier is states[head:] and depths never decrease along it.
-    # level_starts[d] numbers the first state at depth d; the last entry
-    # starts the level below the one being expanded.
+    # levels[d] holds the encodings first found at depth d, in discovery
+    # order; the last level is the one being filled.
     seen: set[bytes] = set()
-    states: list[bytes] = []
-    level_starts = [0]
-    add, append_state = seen.add, states.append
+    levels: list[list[bytes]] = [[]]
+    add, append_state = seen.add, levels[0].append
     transitions = 0
 
     def report(verdict: Verdict, trace: Optional[Trace] = None) -> CheckReport:
         return CheckReport(
             verdict=verdict,
-            distinct_states=len(states),
+            distinct_states=len(seen),
             transitions=transitions,
-            diameter=max(bisect_right(level_starts, len(states) - 1) - 1, 0),
+            diameter=max((d for d, level in enumerate(levels) if level), default=0),
             elapsed=time.perf_counter() - started,
             trace=trace,
             invariants_checked=tuple(name for name, _ in active),
@@ -395,32 +392,31 @@ def check(system: TransitionSystem,
                 reject(state, "initial state")
             if state in seen:
                 continue
-            if len(states) >= max_states:
+            if len(seen) >= max_states:
                 return report(Verdict.LIMIT_EXCEEDED)
             add(state)
             append_state(state)
 
-        level_starts.append(len(states))
-        head = 0
-        while head < len(states):
-            if head == level_starts[-1]:
-                level_starts.append(len(states))
-            state = states[head]
-            for name, predicate in active:
-                if not predicate(state):
-                    return report(Verdict.VIOLATION, reconstruct_trace(
-                        system, states, level_starts, head, name))
-            for label, successor in successors(state):
-                transitions += 1
-                if successor in seen:
-                    continue
-                if not well_formed(successor):
-                    reject(successor, f"successor via {label.render()}")
-                if len(states) >= max_states:
-                    return report(Verdict.LIMIT_EXCEEDED)
-                add(successor)
-                append_state(successor)
-            head += 1
+        depth = 0
+        while levels[depth]:
+            levels.append([])
+            append_state = levels[-1].append
+            for index, state in enumerate(levels[depth]):
+                for name, predicate in active:
+                    if not predicate(state):
+                        return report(Verdict.VIOLATION, reconstruct_trace(
+                            system, levels, depth, index, name))
+                for label, successor in successors(state):
+                    transitions += 1
+                    if successor in seen:
+                        continue
+                    if not well_formed(successor):
+                        reject(successor, f"successor via {label.render()}")
+                    if len(seen) >= max_states:
+                        return report(Verdict.LIMIT_EXCEEDED)
+                    add(successor)
+                    append_state(successor)
+            depth += 1
     except KeyboardInterrupt:
         return report(Verdict.INTERRUPTED)
 

@@ -126,7 +126,8 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     """
     try:
         doc = json.loads(report_document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError or an integer past Python's digit limit is a ValueError.
         raise ReplayDocumentError(f"report document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "trace" not in doc:
         raise ReplayDocumentError("report document carries no trace to replay")

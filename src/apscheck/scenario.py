@@ -51,7 +51,8 @@ class ScenarioError(CheckerError):
     """
 
     def __init__(self, message: str, line: int, column: int, kind: str = SEMANTIC):
-        super().__init__(message)
+        # Every argument in `args`, so that pickle and copy rebuild the error.
+        super().__init__(message, line, column, kind)
         self.message = message
         self.line = line
         self.column = column

@@ -197,6 +197,17 @@ class TestReplayFlag:
                                  "--replay", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("document", ["[" * 200_000, "1" * 5_000],
+                             ids=["nesting_too_deep", "integer_too_long"])
+    def test_replay_of_document_json_cannot_load_exits_two(self, run_cli, scenarios_dir,
+                                                           tmp_path, document):
+        saved = tmp_path / "unloadable.json"
+        saved.write_text(document)
+        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
+                                 "--replay", str(saved))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: report document is not valid JSON: ")
+
 
 class TestListModels:
     def test_lists_models_sorted_with_invariants(self, run_cli):

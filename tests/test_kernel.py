@@ -311,7 +311,7 @@ class TestCheck:
 
 
 class TestReconstructTrace:
-    """Traces rebuilt from the discovered states and level starts alone."""
+    """Traces rebuilt from the levels of discovered states alone."""
 
     def nodes(self, system, names: str) -> list[bytes]:
         return [canonical_encode(system.variables, {"node": {"v": n}}) for n in names]
@@ -319,7 +319,7 @@ class TestReconstructTrace:
     def test_initial_violation_gives_single_state_trace(self):
         system = graph_system({"a": [("go", "b")]}, ["a"])
         states = self.nodes(system, "a")
-        trace = reconstruct_trace(system, states, [0], 0, "inv")
+        trace = reconstruct_trace(system, [states], 0, 0, "inv")
         assert len(trace.steps) == 1
         assert trace.steps[0] == (states[0], None)
         assert trace.violated_invariant == "inv"
@@ -329,7 +329,7 @@ class TestReconstructTrace:
         system = graph_system({"a": [("one", "b")], "b": [("two", "c")],
                                "c": [("three", "d")]}, ["a"])
         states = self.nodes(system, "abcd")
-        trace = reconstruct_trace(system, states, [0, 1, 2, 3], 3, "inv")
+        trace = reconstruct_trace(system, [[s] for s in states], 3, 0, "inv")
         assert len(trace) == 3
         assert [s.label.name for s in trace.steps[1:]] == ["one", "two", "three"]
         assert [s.state for s in trace.steps] == states
@@ -346,7 +346,8 @@ class TestReconstructTrace:
             return base.successors(state)
 
         system = replace(base, successors=successors)
-        trace = reconstruct_trace(system, self.nodes(system, "abcd"), [0, 1, 3], 3, "inv")
+        trace = reconstruct_trace(
+            system, [self.nodes(system, level) for level in ("a", "bc", "d")], 2, 0, "inv")
         assert [decode(trace.variables, s.state)["node"]["v"]
                 for s in trace.steps] == ["a", "c", "d"]
         assert [s.label for s in trace.steps] == [None, ActionLabel("ac"), ActionLabel("cd")]

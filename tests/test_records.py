@@ -3,6 +3,7 @@ picklable, and built without generated dataclass code."""
 
 from __future__ import annotations
 
+import copy
 import inspect
 import pickle
 import subprocess
@@ -15,7 +16,7 @@ from apscheck.kernel import (ActionLabel, CheckOptions, CheckReport, Trace, Trac
                              VariableDecl, Verdict)
 from apscheck.models import AppSpec, ModelInfo, PermissionDeclaration, build_system
 from apscheck.reporting import ReplayResult
-from apscheck.scenario import ScenarioDef, _Token
+from apscheck.scenario import SYNTAX, ScenarioDef, ScenarioError, _Token
 
 
 def _trace(invariant="inv"):
@@ -67,6 +68,18 @@ def test_records_are_immutable_values(name):
         delattr(first, field)
     assert first == second
     assert pickle.loads(pickle.dumps(first)) == first
+
+
+@pytest.mark.parametrize("duplicate", [lambda error: pickle.loads(pickle.dumps(error)),
+                                       copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_errors_keep_their_fields_through_pickle_and_copy(duplicate):
+    for error in (ScenarioError("m", 1, 2), ScenarioError("bad token", 3, 4, SYNTAX),
+                  ConfigurationError("too small", ("max_states",))):
+        clone = duplicate(error)
+        assert type(clone) is type(error)
+        assert str(clone) == str(error)
+        assert vars(clone) == vars(error)
 
 
 def test_records_of_different_classes_are_unequal():

@@ -3,20 +3,26 @@
 `check` keeps no parent or label per state: it finds a violation's trace
 by searching each level before it. `oracles.forward_parent_check` records
 both on discovery instead. The two must agree exactly, labels and
-encodings of every step included, on seeded random models, under state
-limits, and on a graph whose tie-breaks are hand-picked.
+encodings of every step included, on seeded random models, on random
+small graphs, under state limits, and on a graph whose tie-breaks are
+hand-picked.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 import oracles
-from apscheck.kernel import CheckOptions, check, decode
+from apscheck.kernel import (ActionLabel, CheckOptions, TransitionSystem, VariableDecl,
+                             check, decode)
 from apscheck.models import cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
+from apscheck.reporting import render_structured, render_text, replay
 from test_kernel import graph_system
 
 
@@ -96,3 +102,54 @@ def test_tie_breaks_at_depth_four():
     assert [decode(system.variables, step.state)["node"]["v"]
             for step in report.trace.steps] == list("racqv")
     assert [step.label.name for step in report.trace.steps[1:]] == ["r1", "a1", "c1", "q2"]
+
+
+@st.composite
+def graph_systems(draw) -> TransitionSystem:
+    """A random system over 1-2 variables of 1-2 keys and 2-3 values. Each
+    reachable state has 0-5 successors, with repeated labels and
+    self-loops; 1-3 initial states may repeat; two invariants, whose names
+    sometimes repeat, each fail on a drawn set of 0-2 reachable states."""
+    variables = tuple(
+        VariableDecl(f"v{n}", ("k0", "k1")[:draw(st.integers(1, 2))],
+                     (0, "x", 2)[:draw(st.integers(2, 3))])
+        for n in range(draw(st.integers(1, 2))))
+    space = [bytes(codes) for codes in itertools.product(
+        *(range(len(decl.domain)) for decl in variables for _ in decl.keys))]
+    label = st.sampled_from((ActionLabel("Go"), ActionLabel("Go", (("to", 1),)),
+                             ActionLabel("Stay")))
+    initial = tuple(draw(st.lists(st.sampled_from(space), min_size=1, max_size=3)))
+    edges: dict[bytes, list] = {}
+    unexpanded = list(initial)
+    while unexpanded:
+        source = unexpanded.pop()
+        if source not in edges:
+            # `source` twice in the pool makes a self-loop more likely.
+            targets = st.sampled_from([*space, source])
+            edges[source] = [draw(st.tuples(label, targets))
+                             for _ in range(draw(st.integers(0, 5)))]
+            unexpanded += [target for _, target in edges[source]]
+    note(f"successors: {edges}")
+    # A bad state is drawn once per edge into it, so a state with several
+    # parents fails more often; with no edge at all, from the initial states.
+    bad_state = st.sampled_from(
+        [target for out in edges.values() for _, target in out] or initial)
+    invariants = [(draw(st.sampled_from(("Safe", "Live"))),
+                   frozenset(draw(st.lists(bad_state, max_size=2))))
+                  for _ in range(2)]
+    return TransitionSystem(
+        "graph", variables, initial, successors=lambda s: edges[s],
+        invariants=tuple((name, lambda s, bad=bad: s not in bad)
+                         for name, bad in invariants))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(graph_systems())
+def test_random_graphs_under_every_limit(system):
+    for max_states, check_invariants in itertools.product((1, 2, 3, 5, 8, 1_000),
+                                                          (True, False)):
+        report = assert_matches_the_reference(system, max_states, check_invariants)
+        document = render_structured(report)
+        render_text(report)
+        if report.trace is not None:
+            assert replay(document, system)
