@@ -2,30 +2,26 @@
 
 Exit codes: 0 all checked invariants hold, 1 a violation was found,
 2 usage/parse/semantic error, 3 state limit exceeded, interrupted
-(Ctrl-C), model integrity error or out of memory. Stdout carries only
-the report; diagnostics go to stderr.
+(Ctrl-C), model integrity error, out of memory or a closed stdout.
+Stdout carries only the report; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
-from .errors import (CheckerError, ConfigurationError, ModelIntegrityError,
-                     ReplayDocumentError)
-from .kernel import CheckOptions, Verdict, check
+from .errors import CheckerError, ModelIntegrityError
+from .kernel import CheckOptions, Verdict, check, validate_max_states
 from .models import build_system, get_model, model_names
 from .reporting import render_structured, render_text, replay
 from .scenario import ScenarioError, parse_scenario, validate_semantics
 
-_EXIT_BY_VERDICT = {
-    Verdict.PASS: 0,
-    Verdict.VIOLATION: 1,
-    Verdict.LIMIT_EXCEEDED: 3,
-    Verdict.INTERRUPTED: 3,
-}
+_EXIT_BY_VERDICT = {Verdict.PASS: 0, Verdict.VIOLATION: 1,
+                    Verdict.LIMIT_EXCEEDED: 3, Verdict.INTERRUPTED: 3}
 
 
 @functools.cache
@@ -57,64 +53,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _read(path: Path) -> str:
     try:
-        source = args.scenario.read_text(encoding="utf-8-sig")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        scenario = parse_scenario(source)
-    except ScenarioError as exc:
-        print(f"{args.scenario}:{exc}", file=sys.stderr)
-        return 2
+        raise CheckerError(f"cannot read {path}: {exc}") from None
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    scenario = parse_scenario(_read(args.scenario))
     for advisory in validate_semantics(scenario):
         print(f"{args.scenario}: warning: {advisory}", file=sys.stderr)
-
-    max_states = scenario.max_states
-    if args.max_states is not None:
-        if args.max_states < 1:
-            print("error: --max-states must be at least 1", file=sys.stderr)
-            return 2
-        max_states = args.max_states
-
-    try:
-        system = build_system(scenario)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    max_states = scenario.max_states if args.max_states is None else args.max_states
+    validate_max_states(max_states)
+    system = build_system(scenario)
     if args.replay is not None:
-        return _cmd_replay(args, system)
-
-    options = CheckOptions(max_states=max_states,
-                           check_invariants=not args.stats_only)
-    try:
-        report = check(system, options)
-    except CheckerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ModelIntegrityError) else 2
+        result = replay(_read(args.replay), system)
+        print(f"replay: valid against model {system.name}" if result else
+              f"replay: divergent at step {result.divergent_step}: {result.reason}")
+        return 0 if result else 1
+    report = check(system, CheckOptions(max_states=max_states,
+                                        check_invariants=not args.stats_only))
     render = render_structured if args.format == "json" else render_text
     sys.stdout.write(render(report))
     return _EXIT_BY_VERDICT[report.verdict]
-
-
-def _cmd_replay(args: argparse.Namespace, system) -> int:
-    try:
-        document = args.replay.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.replay}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = replay(document, system)
-    except ReplayDocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if result:
-        print(f"replay: valid against model {system.name}")
-        return 0
-    print(f"replay: divergent at step {result.divergent_step}: {result.reason}")
-    return 1
 
 
 def _cmd_list_models() -> int:
@@ -129,14 +91,25 @@ def _cmd_list_models() -> int:
 def main(argv: "list[str] | None" = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "list-models":
-            return _cmd_list_models()
-        return _cmd_check(args)
+        code = _cmd_list_models() if args.command == "list-models" else _cmd_check(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except ScenarioError as exc:
+        print(f"{args.scenario}:{exc}", file=sys.stderr)
+        return 2
+    except CheckerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, ModelIntegrityError) else 2
     except KeyboardInterrupt:  # `check` reports its own as a partial report
         print("error: interrupted", file=sys.stderr)
         return 3
     except MemoryError:
         print("error: out of memory; try a smaller model or state limit", file=sys.stderr)
+        return 3
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at exit: let that flush write to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 3
 
 

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import signal
 import subprocess
@@ -19,12 +20,43 @@ from hypothesis import strategies as st
 
 from apscheck import cli
 
-SHIPPED = sorted(p.name for p in
-                 (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(p.name for p in (ROOT / "scenarios").glob("*.scn"))
+VULN_REPLAY = str(ROOT / "tests" / "golden" / "custom_vuln.json.out")
+
+# The steps `_cmd_check` calls through names in `cli` that a test can
+# replace, each with the scenario and flags of a `check` that reaches it.
+CALLS = {
+    "parse_scenario": ["cs1.scn"],
+    "validate_semantics": ["cs1.scn"],
+    "build_system": ["cs1.scn"],
+    "check": ["cs1.scn"],
+    "render_text": ["cs1.scn"],
+    "render_structured": ["cs1.scn", "--format", "json"],
+    "replay": ["custom_vuln.scn", "--replay", VULN_REPLAY],
+}
 
 
 def mask_elapsed(text: str) -> str:
     return re.sub(r'(elapsed(?:_ms)?"?: )[0-9.]+', r"\1X", text)
+
+
+def forgetful(build):
+    """`build` whose systems lose each state's successors after its first
+    expansion, so the trace search cannot find the violating state's
+    parent again."""
+    def forgetful_build(scenario):
+        system = build(scenario)
+        expanded = set()
+
+        def successors(state):
+            fresh = state not in expanded
+            expanded.add(state)
+            return system.successors(state) if fresh else []
+
+        return dataclasses.replace(system, successors=successors)
+
+    return forgetful_build
 
 
 class TestCheckCommand:
@@ -273,15 +305,16 @@ class TestParserReuse:
 
 
 class TestInterruptOutsideCheck:
-    @pytest.mark.parametrize("target", ["parse_scenario", "render_text"])
+    @pytest.mark.parametrize("target", [name for name in CALLS if name != "check"])
     def test_interrupt_exits_three_without_a_report(self, run_cli, scenarios_dir,
                                                     monkeypatch, target):
         def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, target, interrupted)
+        scenario, *flags = CALLS[target]
         try:
-            code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
+            code, out, err = run_cli("check", str(scenarios_dir / scenario), *flags)
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped cli.main")
         assert code == 3
@@ -290,14 +323,15 @@ class TestInterruptOutsideCheck:
 
 
 class TestResourceErrors:
-    @pytest.mark.parametrize("target", ["build_system", "check"])
+    @pytest.mark.parametrize("target", list(CALLS))
     def test_out_of_memory_exits_three_with_one_line(self, run_cli, scenarios_dir,
                                                       monkeypatch, target):
         def exhausted(*args):
             raise MemoryError
 
         monkeypatch.setattr(cli, target, exhausted)
-        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
+        scenario, *flags = CALLS[target]
+        code, out, err = run_cli("check", str(scenarios_dir / scenario), *flags)
         assert code == 3
         assert out == ""
         assert err.startswith("error: out of memory")
@@ -305,27 +339,63 @@ class TestResourceErrors:
 
     def test_nondeterministic_successors_exit_three(self, run_cli, scenarios_dir,
                                                     monkeypatch):
-        # Each state's successors vanish after its first expansion, so the
-        # trace search cannot find the violating state's parent again.
-        build = cli.build_system
-
-        def forgetful_build(scenario):
-            system = build(scenario)
-            expanded = set()
-
-            def successors(state):
-                fresh = state not in expanded
-                expanded.add(state)
-                return system.successors(state) if fresh else []
-
-            return dataclasses.replace(system, successors=successors)
-
-        monkeypatch.setattr(cli, "build_system", forgetful_build)
+        monkeypatch.setattr(cli, "build_system", forgetful(cli.build_system))
         code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
         assert code == 3
         assert out == ""
         assert re.fullmatch(r"error: state \d+ at depth 2 is not a successor of any "
                             r"state at depth 1; successors must be deterministic\n", err)
+
+
+# id -> (arguments after `check`, exit code, the one stderr line). {tmp}
+# is the test's temporary directory and {scn} the shipped scenarios; the
+# two `--max-states 0` rows would also fail to build or to read the replay.
+ERROR_LINES = {
+    "missing_scenario": (
+        ["{tmp}/missing.scn"], 2, "error: cannot read {tmp}/missing.scn: "
+        "[Errno 2] No such file or directory: '{tmp}/missing.scn'"),
+    "non_utf8_scenario": (
+        ["{tmp}/binary.scn"], 2, "error: cannot read {tmp}/binary.scn: 'utf-8' "
+        "codec can't decode byte 0xff in position 0: invalid start byte"),
+    "scenario_error": (
+        ["{tmp}/bad.scn"], 2, "{tmp}/bad.scn:1:7: semantic: unknown model 'nosuch'"),
+    "build_error": (
+        ["{tmp}/wide.scn"], 2, "error: variable 'registryDefiner' has 257 domain "
+        "values; the one-byte-per-slot state encoding holds at most 256"),
+    "max_states_zero": (
+        ["{tmp}/wide.scn", "--max-states", "0"], 2,
+        "error: max_states must be at least 1"),
+    "max_states_zero_replay": (
+        ["{scn}/cs1.scn", "--max-states", "0", "--replay", "{tmp}/missing.json"], 2,
+        "error: max_states must be at least 1"),
+    "missing_replay": (
+        ["{scn}/cs1.scn", "--replay", "{tmp}/missing.json"], 2,
+        "error: cannot read {tmp}/missing.json: "
+        "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    "replay_document": (
+        ["{scn}/custom_safe.scn", "--replay", "{tmp}/pass.json"], 2,
+        "error: report document carries no trace to replay"),
+    "model_integrity": (
+        ["{scn}/cs1.scn"], 3, "error: state 7 at depth 2 is not a successor of any "
+        "state at depth 1; successors must be deterministic"),
+}
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("case", list(ERROR_LINES))
+    def test_exit_code_and_one_stderr_line(self, run_cli, scenarios_dir, tmp_path,
+                                           monkeypatch, case):
+        (tmp_path / "binary.scn").write_bytes(b"\xff\n")
+        (tmp_path / "bad.scn").write_text("model nosuch\n")
+        TestCheckCommand.many_apps_scenario(tmp_path / "wide.scn", 256)
+        (tmp_path / "pass.json").write_bytes(
+            (ROOT / "tests" / "golden" / "custom_safe.json.out").read_bytes())
+        if case == "model_integrity":
+            monkeypatch.setattr(cli, "build_system", forgetful(cli.build_system))
+        args, code, line = ERROR_LINES[case]
+        fill = dict(tmp=tmp_path, scn=scenarios_dir)
+        assert run_cli("check", *(arg.format(**fill) for arg in args)) == (
+            code, "", line.format(**fill) + "\n")
 
 
 class TestModuleEntryPoint:
@@ -336,6 +406,29 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=checkout_env)
         assert proc.returncode == 1
         assert "ApsConsistent" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["check", "scenarios/custom_safe.scn"],
+        ["check", "scenarios/cs1.scn", "--format", "json"],
+        ["check", "scenarios/custom_vuln.scn", "--replay", VULN_REPLAY],
+        ["list-models"],
+    ], ids=["pass_text", "violation_json", "replay", "list_models"])
+    def test_closed_stdout_exits_three_with_one_line(self, checkout_env, argv,
+                                                     unbuffered):
+        # Python ignores SIGPIPE, so a write to a pipe with no reader raises
+        # BrokenPipeError, and a buffered write raises it on the flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "apscheck", *argv], cwd=ROOT, stdout=write_end,
+                stderr=subprocess.PIPE, text=True,
+                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: cannot write to stdout: [^\n]*\n", proc.stderr)
 
     def test_interrupt_exits_three_with_a_partial_report(self, tmp_path,
                                                          checkout_env):
