@@ -2,13 +2,15 @@
 
 Exit codes: 0 all checked invariants hold, 1 a violation was found,
 2 usage/parse/semantic error, 3 state limit exceeded, interrupted
-(Ctrl-C), model integrity error, out of memory or a closed stdout.
-Stdout carries only the report; diagnostics go to stderr.
+(Ctrl-C), model integrity error, out of memory or a stdout that cannot be
+written. Stdout carries only the report; diagnostics go to stderr, and a
+stderr that cannot be written loses them without changing the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -60,10 +62,25 @@ def _read(path: Path) -> str:
         raise CheckerError(f"cannot read {path}: {exc}") from None
 
 
+def _say(line: str) -> None:
+    """Write a line to stderr, or lose it if stderr cannot be written."""
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):  # None when Python started without one
+        _discard(sys.stderr)
+
+
+def _discard(stream) -> None:
+    """Point a failed stream's descriptor, if any, at devnull for Python's exit flush."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        fd = stream.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     scenario = parse_scenario(_read(args.scenario))
     for advisory in validate_semantics(scenario):
-        print(f"{args.scenario}: warning: {advisory}", file=sys.stderr)
+        _say(f"{args.scenario}: warning: {advisory}")
     max_states = scenario.max_states if args.max_states is None else args.max_states
     validate_max_states(max_states)
     system = build_system(scenario)
@@ -80,11 +97,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_models() -> int:
-    for name in model_names():
-        info = get_model(name)
-        params = ", ".join(info.params) if info.params else "-"
-        invariants = ", ".join(info.invariants)
-        print(f"{name}  params: {params}  invariants: {invariants}")
+    for info in map(get_model, model_names()):
+        print(f"{info.name}  params: {', '.join(info.params) or '-'}  "
+              f"invariants: {', '.join(info.invariants)}")
     return 0
 
 
@@ -95,22 +110,18 @@ def main(argv: "list[str] | None" = None) -> int:
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except ScenarioError as exc:
-        print(f"{args.scenario}:{exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"{args.scenario}:{exc}"
     except CheckerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ModelIntegrityError) else 2
+        code, line = 3 if isinstance(exc, ModelIntegrityError) else 2, f"error: {exc}"
     except KeyboardInterrupt:  # `check` reports its own as a partial report
-        print("error: interrupted", file=sys.stderr)
-        return 3
+        code, line = 3, "error: interrupted"
     except MemoryError:
-        print("error: out of memory; try a smaller model or state limit", file=sys.stderr)
-        return 3
-    except BrokenPipeError as exc:
-        # Python flushes stdout again at exit: let that flush write to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, "error: out of memory; try a smaller model or state limit"
+    except OSError as exc:  # a stdout write: `_read` and `_say` handle their own
+        _discard(sys.stdout)
+        code, line = 3, f"error: cannot write to stdout: {exc}"
+    _say(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ class ConfigurationError(CheckerError):
     """A model or checker was instantiated with unusable parameters.
 
     `field` is the path of the scenario field at fault, such as
-    `("params", "apps")` or `("app_specs", 1)`, or `()` for none."""
+    `("apps",)` or `("app_specs", 1)`, or `()` for none."""
 
     def __init__(self, message: str, field: tuple = ()):
         super().__init__(message)

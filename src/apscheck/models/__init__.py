@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from ..errors import ConfigurationError
 from ..kernel import TransitionSystem, validate_max_states
@@ -31,15 +31,15 @@ class ModelInfo(NamedTuple):
     name: str
     params: tuple[str, ...]
     invariants: tuple[str, ...]
-    build: Callable[[Mapping[str, int], Sequence[AppSpec]], TransitionSystem]
+    build: Callable[["ScenarioDef"], TransitionSystem]
 
 
 # `build` takes a definition that `validate` accepted.
 _REGISTRY = {
     cs1.MODEL_NAME: ModelInfo(cs1.MODEL_NAME, ("apps",), cs1.INVARIANT_NAMES,
-                              lambda params, apps: cs1.build_system(params["apps"])),
+                              lambda scenario: cs1.build_system(scenario.apps)),
     custom.MODEL_NAME: ModelInfo(custom.MODEL_NAME, (), custom.INVARIANT_NAMES,
-                                 lambda params, apps: custom.build_system(apps)),
+                                 lambda scenario: custom.build_system(scenario.app_specs))
 }
 
 
@@ -62,10 +62,8 @@ def validate(scenario) -> ModelInfo:
     state, so a definition that validates renders to text that parses back
     equal."""
     info = get_model(scenario.model_name)
-    for name in scenario.params:
-        if name not in info.params:
-            raise ConfigurationError(f"{name!r} is not valid for model {info.name}",
-                                     ("params", name))
+    if scenario.apps is not None and "apps" not in info.params:
+        raise ConfigurationError(f"'apps' is not valid for model {info.name}", ("apps",))
     for i, app in enumerate(scenario.app_specs):
         for text in (app.id, *(d.name for d in app.declares), *app.requests):
             if not (isinstance(text, str) and IDENTIFIER.fullmatch(text)):
@@ -73,10 +71,10 @@ def validate(scenario) -> ModelInfo:
                     f"app {app.id!r}: {text!r} is not an identifier (a letter or "
                     "'_', then letters, digits, '_' or '.')", ("app_specs", i))
     if info.name == cs1.MODEL_NAME:
-        if "apps" not in scenario.params:
+        if scenario.apps is None:
             raise ConfigurationError(f"model {info.name} requires an 'apps' directive",
-                                     ("params", "apps"))
-        cs1.validate_app_count(scenario.params["apps"])
+                                     ("apps",))
+        cs1.validate_app_count(scenario.apps)
         if scenario.app_specs:
             raise ConfigurationError(f"app blocks are not valid for model {info.name}",
                                      ("app_specs", 0))
@@ -96,6 +94,4 @@ def validate(scenario) -> ModelInfo:
 def build_system(scenario) -> TransitionSystem:
     """Validate the scenario, instantiate its model and restrict it to the
     invariants the scenario asks to check, in the scenario's order."""
-    info = validate(scenario)
-    system = info.build(scenario.params, scenario.app_specs)
-    return system.with_invariants(scenario.check_list)
+    return validate(scenario).build(scenario).with_invariants(scenario.check_list)

@@ -27,6 +27,7 @@ PERM_LEVELS = (NONE, NOR, DAN)
 
 MODEL_NAME = "aps_cs1"
 INVARIANT_NAMES = ("ApsTypeOK", "ApsConsistent")
+MAX_SLOTS = 65_536  # the most one-byte state slots an app count may ask for, 3 per app
 
 # Domain codes of the levels.
 _NOR_CODE = PERM_LEVELS.index(NOR)
@@ -47,13 +48,15 @@ def variable_decls(app_count: int) -> tuple[VariableDecl, ...]:
 
 
 def validate_app_count(app_count) -> None:
-    """Raise :class:`ConfigurationError` unless `app_count` is an `int` of
-    at least 1 (`bool` excluded)."""
+    """Raise :class:`ConfigurationError` unless `app_count` is an `int` from
+    1 (`bool` excluded) to ``MAX_SLOTS // 3``, before anything is built."""
     if type(app_count) is not int:
         raise ConfigurationError(
-            f"aps_cs1 needs an integer app count, not {app_count!r}", ("params", "apps"))
+            f"aps_cs1 needs an integer app count, not {app_count!r}", ("apps",))
     if app_count < 1:
-        raise ConfigurationError("app count must be at least 1", ("params", "apps"))
+        raise ConfigurationError("app count must be at least 1", ("apps",))
+    if app_count > MAX_SLOTS // 3:
+        raise ConfigurationError(f"app count must be at most {MAX_SLOTS // 3}", ("apps",))
 
 
 def build_system(app_count: int) -> TransitionSystem:

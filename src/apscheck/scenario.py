@@ -18,8 +18,7 @@ defaults to 1,000,000 states.
 from __future__ import annotations
 
 import re
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import CheckerError, ConfigurationError
 from .kernel import DEFAULT_MAX_STATES, Record
@@ -65,22 +64,16 @@ class ScenarioError(CheckerError):
 class ScenarioDef(Record):
     """A parsed scenario: which model to build and what to check on it.
 
-    `params` is a read-only view of a copy of the mapping passed in;
-    `app_specs` and `check_list` are kept as tuples."""
+    `apps` is the app count of `aps_cs1`, or `None` where the text has no
+    `apps` line; `app_specs` and `check_list` are kept as tuples."""
 
-    __slots__ = ("model_name", "params", "app_specs", "check_list", "max_states")
+    __slots__ = ("model_name", "apps", "app_specs", "check_list", "max_states")
 
-    def __init__(self, model_name: str, params: Optional[Mapping[str, int]] = None,
+    def __init__(self, model_name: str, apps: Optional[int] = None,
                  app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
                  max_states: int = DEFAULT_MAX_STATES):
-        super().__init__(model_name, MappingProxyType(dict(params or {})),
-                         tuple(app_specs), tuple(check_list), max_states)
-
-    def _values(self) -> tuple:
-        # A mapping proxy neither hashes nor pickles; its sorted items do both,
-        # and the constructor accepts them in its place.
-        return (self.model_name, tuple(sorted(self.params.items())), self.app_specs,
-                self.check_list, self.max_states)
+        super().__init__(model_name, apps, tuple(app_specs), tuple(check_list),
+                         max_states)
 
 
 class _Token(NamedTuple):
@@ -169,26 +162,22 @@ def parse_scenario(source: str) -> ScenarioDef:
                                 tok.line, tok.column, SYNTAX)
     if "model" not in single:
         raise ScenarioError("missing 'model' directive", 1, 1)
-    model_tok, model_name = single["model"]
-    apps_tok, apps_value = single.get("apps", (None, None))
-    max_tok, max_value = single.get("max_states", (None, DEFAULT_MAX_STATES))
+    value = {name: v for name, (_, v) in single.items()}
 
     # `models.validate` decides whether the definition is valid; a defect is
     # located at the token its field was read from, else at the model name.
     try:
         scenario = ScenarioDef(
-            model_name=model_name,
-            params={} if apps_tok is None else {"apps": apps_value},
-            app_specs=tuple(spec for _, spec in blocks),
-            check_list=tuple(t.text for t in checks) or get_model(model_name).invariants,
-            max_states=max_value,
-        )
+            value["model"], value.get("apps"), [spec for _, spec in blocks],
+            [t.text for t in checks] or get_model(value["model"]).invariants,
+            value.get("max_states", DEFAULT_MAX_STATES))
         validate(scenario)
     except ConfigurationError as exc:
-        tokens = {("params", "apps"): apps_tok, ("max_states",): max_tok}
+        # The fields `("apps",)` and `("max_states",)` are named by their directives.
+        tokens = {(name,): tok for name, (tok, _) in single.items()}
         tokens.update((("app_specs", i), id_tok) for i, (id_tok, _) in enumerate(blocks))
         tokens.update((("check_list", i), tok) for i, tok in enumerate(checks))
-        tok = tokens.get(exc.field) or model_tok
+        tok = tokens.get(exc.field) or single["model"][0]
         raise ScenarioError(str(exc), tok.line, tok.column) from None
     return scenario
 
@@ -230,8 +219,8 @@ def render_scenario(scenario: ScenarioDef) -> str:
     Declarations and requests render name-ascending (AppSpec already keeps
     them sorted), so rendering is a normal form."""
     lines = [f"model {scenario.model_name}"]
-    if "apps" in scenario.params:
-        lines.append(f"apps {scenario.params['apps']}")
+    if scenario.apps is not None:
+        lines.append(f"apps {scenario.apps}")
     for app in scenario.app_specs:
         lines.append(f"app {app.id} {{")
         for decl in app.declares:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -430,6 +431,45 @@ class TestModuleEntryPoint:
         assert proc.returncode == 3
         assert re.fullmatch(r"error: cannot write to stdout: [^\n]*\n", proc.stderr)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_three_with_one_line(self, checkout_env, unbuffered):
+        # A passing scenario, so that exit 1 would be a false violation.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "apscheck", "check", "scenarios/custom_safe.scn"],
+                cwd=ROOT, stdout=full, stderr=subprocess.PIPE, text=True,
+                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+        assert (proc.returncode, proc.stderr) == (
+            3, "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["closed_pipe", "dev_full"])
+    @pytest.mark.parametrize("scenario,code,report", [
+        ("warn.scn", 0, "No violations found (checked: escalation_free).\n"),
+        ("missing.scn", 2, ""),
+    ], ids=["advisory", "missing_scenario"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, checkout_env, tmp_path, unbuffered,
+                                                   stderr, scenario, code, report):
+        if stderr == "dev_full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        (tmp_path / "warn.scn").write_text("model custom_permissions\n"
+                                           "app zed { request Zeta }\n")
+        if stderr == "closed_pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+        else:
+            write_end = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "apscheck", "check", str(tmp_path / scenario)],
+                stdout=subprocess.PIPE, stderr=write_end, text=True,
+                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stdout.startswith(report) if report else proc.stdout == ""
+
     def test_interrupt_exits_three_with_a_partial_report(self, tmp_path,
                                                          checkout_env):
         # aps_cs1 with 7 apps has about 750,000 states: the check is still
@@ -522,3 +562,87 @@ class TestContractFuzz:
             report.write_text(out, encoding="utf-8")
             code, out = run(["check", str(scenario), "--replay", str(report)])
             assert (code, out.startswith("replay: valid")) == (0, True), out
+
+
+class FailingStream(io.StringIO):
+    """A text stream whose write and flush calls fail with `error` from the
+    `at`-th call on, as a pipe does once its reader has gone."""
+
+    def __init__(self, at: int, error: int):
+        super().__init__()
+        self.calls, self.at, self.error = 0, at, error
+
+    def _call(self):
+        self.calls += 1
+        if self.calls >= self.at:
+            raise OSError(self.error, os.strerror(self.error))
+
+    def write(self, text):
+        self._call()
+        return super().write(text)
+
+    def flush(self):
+        self._call()
+        super().flush()
+
+
+# Replays (scenario, document) that exit 0, 1 and 2.
+REPLAYS = (("custom_vuln.scn", VULN_REPLAY),
+           ("cs1.scn", str(ROOT / "tests" / "golden" / "cs1_apps4.json.out")),
+           ("cs1.scn", VULN_REPLAY))
+
+
+@st.composite
+def commands(draw) -> tuple[str, list[str]]:
+    """Scenario text and an argv: a check of that text with the contract
+    fuzz's options (the text is for `fuzz.scn`), `list-models` or a replay."""
+    source = draw(scenario_texts())
+    kind = draw(st.sampled_from(("check", "check", "list-models", "replay")))
+    if kind == "list-models":
+        return source, ["list-models"]
+    if kind == "replay":
+        scenario, document = draw(st.sampled_from(REPLAYS))
+        return source, ["check", str(ROOT / "scenarios" / scenario), "--replay", document]
+    return source, (["check", "fuzz.scn", "--format",
+                     draw(st.sampled_from(("text", "json"))),
+                     "--max-states", str(draw(st.just(50) | st.integers(0, 50)))]
+                    + ["--stats-only"] * draw(st.booleans()))
+
+
+class TestStreamFaults:
+    """`cli.main` with a stdout or stderr that fails from some write or
+    flush call on. A failed stdout exits 3 with one error line; a failed
+    stderr loses lines but keeps the exit code. Either way the code is one
+    of 0-3, it is 1 only where the run without faults gives 1, and stderr
+    holds no traceback and at most one line besides the advisories."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(command=commands(), stream=st.sampled_from(("stdout", "stderr")),
+           at=st.integers(1, 5), error=st.sampled_from((errno.EPIPE, errno.ENOSPC,
+                                                        errno.EIO)))
+    def test_exit_code_and_stderr_under_a_failing_stream(self, tmp_path_factory, command,
+                                                         stream, at, error):
+        source, argv = command
+        workdir = tmp_path_factory.getbasetemp() / "stream_faults"
+        workdir.mkdir(exist_ok=True)
+        (workdir / "fuzz.scn").write_bytes(source.encode("utf-8"))
+
+        def run(out, err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return cli.main(argv), out.getvalue(), err.getvalue()
+
+        with contextlib.chdir(workdir):
+            clean_code, clean_out, clean_err = run(io.StringIO(), io.StringIO())
+            failing = FailingStream(at, error)
+            code, out, err = run(*((failing, io.StringIO()) if stream == "stdout"
+                                   else (io.StringIO(), failing)))
+        assert code in (0, 1, 2, 3)
+        assert code == clean_code or (stream, code) == ("stdout", 3)
+        assert "Traceback" not in err
+        advisories = [line for line in clean_err.splitlines() if ": warning: " in line]
+        lines = err.splitlines()
+        assert lines[:len(advisories)] == advisories[:len(lines)]
+        assert len(lines) <= len(advisories) + 1
+        if code != clean_code:
+            assert lines[-1] == f"error: cannot write to stdout: [Errno {error}] " \
+                                f"{os.strerror(error)}"

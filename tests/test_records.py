@@ -25,8 +25,7 @@ def _trace(invariant="inv"):
 
 
 # Per record: a factory of equal instances, one instance that differs in a
-# field, and whether instances hash (all do: a ScenarioDef hashes its params
-# by their sorted items).
+# field, and whether instances hash (all do).
 RECORDS = {
     "VariableDecl": (lambda: VariableDecl("x", ("a", "b"), (0, 1)),
                      VariableDecl("x", ("a", "b"), (0, 2)), True),
@@ -34,8 +33,8 @@ RECORDS = {
                               PermissionDeclaration("P", "dangerous"), True),
     "AppSpec": (lambda: AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P",)),
                 AppSpec("m", (PermissionDeclaration("P", "normal"),)), True),
-    "ScenarioDef": (lambda: ScenarioDef("aps_cs1", {"apps": 2}, (), ("ApsTypeOK",)),
-                    ScenarioDef("aps_cs1", {"apps": 3}, (), ("ApsTypeOK",)), True),
+    "ScenarioDef": (lambda: ScenarioDef("aps_cs1", 2, (), ("ApsTypeOK",)),
+                    ScenarioDef("aps_cs1", 3, (), ("ApsTypeOK",)), True),
     "Trace": (_trace, _trace("other"), True),
     "ActionLabel": (lambda: ActionLabel("Grant", (("r", "a1"),)),
                     ActionLabel("Grant", (("r", "a2"),)), True),
@@ -93,21 +92,12 @@ def test_repr_names_every_field():
     assert repr(ActionLabel("Ask")) == "ActionLabel(name='Ask', params=())"
 
 
-def test_scenario_params_default_to_a_fresh_dict():
-    first, second = ScenarioDef("custom_permissions"), ScenarioDef("custom_permissions")
-    assert first.params == {} and first.params is not second.params
-
-
-def test_scenario_params_are_a_read_only_copy():
-    given = {"apps": 1}
-    scenario = ScenarioDef("aps_cs1", given, (), ("ApsTypeOK",))
-    given["apps"] = 5
-    assert scenario.params == {"apps": 1}
-    with pytest.raises(TypeError):
-        scenario.params["apps"] = 0
-    assert scenario.params == {"apps": 1}
-    assert repr(scenario).startswith(
-        "ScenarioDef(model_name='aps_cs1', params=mappingproxy({'apps': 1}), ")
+def test_a_scenario_without_an_app_count_holds_none():
+    scenario = ScenarioDef("custom_permissions")
+    assert scenario.apps is None
+    assert repr(scenario) == (
+        "ScenarioDef(model_name='custom_permissions', apps=None, app_specs=(), "
+        "check_list=(), max_states=1000000)")
 
 
 @pytest.mark.parametrize("build,message", [

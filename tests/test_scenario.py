@@ -36,7 +36,7 @@ class TestParsing:
         d = parse_scenario("model aps_cs1\napps 1\ncheck ApsTypeOK\n"
                            "check ApsConsistent")
         assert d.model_name == "aps_cs1"
-        assert d.params == {"apps": 1}
+        assert d.apps == 1
         assert d.check_list == ("ApsTypeOK", "ApsConsistent")
         assert d.max_states == DEFAULT_MAX_STATES
         assert d.app_specs == ()
@@ -63,7 +63,7 @@ class TestParsing:
 
     def test_comments_and_blank_lines_are_ignored(self):
         d = parse_scenario("# heading\n\nmodel aps_cs1  # trailing\n\napps 3\n")
-        assert d.params == {"apps": 3}
+        assert d.apps == 3
 
     def test_app_block_may_span_lines(self):
         d = parse_scenario(
@@ -74,7 +74,7 @@ class TestParsing:
 
     def test_tokens_are_whitespace_insensitive(self):
         d = parse_scenario("model   aps_cs1\tapps\t2\ncheck ApsTypeOK")
-        assert d.params == {"apps": 2}
+        assert d.apps == 2
 
     def test_integers_accept_separators(self):
         d = parse_scenario("model aps_cs1\napps 1\nmax_states 1_000")
@@ -200,6 +200,7 @@ class TestParseErrors:
         ("model aps_cs1\ncheck ApsTypeOK\n",
          "1:7: semantic: model aps_cs1 requires an 'apps' directive"),
         ("model aps_cs1\napps 0\n", "2:6: semantic: app count must be at least 1"),
+        ("model aps_cs1\napps 21_846\n", "2:6: semantic: app count must be at most 21845"),
         ("model aps_cs1\napps 1\napp m { }\n",
          "3:5: semantic: app blocks are not valid for model aps_cs1"),
         ("model custom_permissions\napps 2\napp m { declare P level normal }\n",
@@ -234,7 +235,7 @@ class TestParseErrors:
         ("apps 0\napp m { }\napp m { }\ncheck Nope\nmax_states 0\n",
          "1:1: semantic: missing 'model' directive"),
     ], ids=["missing model", "unknown model", "duplicate directive", "cs1 without apps",
-            "cs1 with apps 0", "cs1 with an app block", "custom with apps",
+            "cs1 with apps 0", "cs1 over the slot budget", "cs1 with an app block", "custom with apps",
             "custom without an app block", "duplicate app id", "name declared twice",
             "unknown protection level", "unknown invariant", "max_states 0",
             "apps 0 before an app block", "apps before no app block",
@@ -301,6 +302,8 @@ def mostly(statable, odd):
 _WORDS = mostly(st.sampled_from(("m", "P", "_x", "a.b", "app", "level")),
                 st.text(alphabet="aP1_.#: \né", max_size=3))
 _LEVELS = st.sampled_from(("normal", "dangerous"))
+# The smallest app count whose aps_cs1 state is wider than the slot budget.
+OVER_BUDGET = cs1.MAX_SLOTS // 3 + 1
 
 
 @st.composite
@@ -308,9 +311,9 @@ def definitions(draw) -> ScenarioDef:
     model = draw(st.sampled_from(("aps_cs1", "custom_permissions")))
     invariants = get_model(model).invariants
     if model == "aps_cs1":
-        params, app_ids = st.fixed_dictionaries({"apps": st.integers(1, 3)}), st.just([])
+        counts, app_ids = st.integers(1, 3), st.just([])
     else:
-        params, app_ids = st.just({}), st.lists(_WORDS, min_size=1, max_size=3, unique=True)
+        counts, app_ids = st.none(), st.lists(_WORDS, min_size=1, max_size=3, unique=True)
     apps = []
     for app_id in draw(mostly(app_ids, st.lists(_WORDS, max_size=3))):
         declares = draw(st.dictionaries(_WORDS.filter(bool), _LEVELS, max_size=2))
@@ -320,8 +323,7 @@ def definitions(draw) -> ScenarioDef:
     # Lists where the parser gives tuples: the definition keeps tuples.
     return ScenarioDef(
         model,
-        draw(mostly(params, st.dictionaries(st.sampled_from(("apps", "x")),
-                                            st.sampled_from((0, 1, True, 2.5))))),
+        draw(mostly(counts, st.sampled_from((None, 1, 0, True, 2.5, OVER_BUDGET)))),
         apps,
         draw(mostly(st.lists(st.sampled_from(invariants), min_size=1, max_size=2),
                     st.lists(st.sampled_from(
@@ -366,30 +368,33 @@ class TestDirectDefinitions:
         (ScenarioDef(model_name="zzz"), "unknown model 'zzz'"),
         (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)),
          "^model aps_cs1 requires an 'apps' directive$"),
-        (ScenarioDef(model_name="aps_cs1", params={"apps": 0},
+        (ScenarioDef(model_name="aps_cs1", apps=0,
                      check_list=("ApsTypeOK",)), "^app count must be at least 1$"),
+        (ScenarioDef(model_name="aps_cs1", apps=OVER_BUDGET, check_list=("ApsTypeOK",)),
+         "^app count must be at most 21845$"),
         (ScenarioDef(model_name="custom_permissions",
                      check_list=("escalation_free",)), "at least one app"),
         (ScenarioDef(model_name="custom_permissions",
                      app_specs=(AppSpec("m"), AppSpec("m")),
                      check_list=("escalation_free",)), "^duplicate app id 'm'$"),
-        (ScenarioDef(model_name="aps_cs1", params={"apps": 1}, check_list=("Nope",)),
+        (ScenarioDef(model_name="aps_cs1", apps=1, check_list=("Nope",)),
          "no invariant named 'Nope'"),
-        (ScenarioDef(model_name="aps_cs1", params={"apps": 1},
+        (ScenarioDef(model_name="aps_cs1", apps=1,
                      check_list=("ApsTypeOK",), max_states=0),
          "max_states must be at least 1"),
-        (ScenarioDef("aps_cs1", {"apps": 1}, (AppSpec("m"),), ("ApsTypeOK",)),
+        (ScenarioDef("aps_cs1", 1, (AppSpec("m"),), ("ApsTypeOK",)),
          "^app blocks are not valid for model aps_cs1$"),
-        (ScenarioDef("custom_permissions", {"apps": 3}, (AppSpec("m"),),
+        (ScenarioDef("custom_permissions", 3, (AppSpec("m"),),
                      ("escalation_free",)),
          "^'apps' is not valid for model custom_permissions$"),
-        *((ScenarioDef("aps_cs1", {"apps": apps}, (), ("ApsTypeOK",)),
+        *((ScenarioDef("aps_cs1", apps, (), ("ApsTypeOK",)),
            f"^aps_cs1 needs an integer app count, not {re.escape(repr(apps))}$")
           for apps in (True, 2.5, "3")),
-        *((ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",), limit),
+        *((ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), limit),
            f"^max_states must be an integer, not {re.escape(repr(limit))}$")
           for limit in (True, 2.5, "5")),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
+            "cs1 over the slot budget",
             "custom without apps", "duplicate app ids", "unknown invariant",
             "max_states 0", "cs1 with app specs", "custom with apps",
             "apps True", "apps 2.5", "apps '3'",
@@ -402,71 +407,71 @@ class TestDirectDefinitions:
     # Each of these renders to text that does not parse, or that parses as
     # a different definition, so building it must fail.
     @pytest.mark.parametrize("definition,problem", [
-        (ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",), 2.5),
+        (ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), 2.5),
          "^max_states must be an integer, not 2.5$"),
-        (ScenarioDef("custom_permissions", {}, (AppSpec("my app"),),
+        (ScenarioDef("custom_permissions", None, (AppSpec("my app"),),
                      ("escalation_free",)),
          "^" + re.escape("app 'my app': 'my app' is not an identifier (a letter "
                          "or '_', then letters, digits, '_' or '.')") + "$"),
-        (ScenarioDef("custom_permissions", {},
+        (ScenarioDef("custom_permissions", None,
                      (AppSpec("m", (PermissionDeclaration("1P", "normal"),)),),
                      ("escalation_free",)),
          "^app 'm': '1P' is not an identifier"),
-        (ScenarioDef("custom_permissions", {},
+        (ScenarioDef("custom_permissions", None,
                      (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
                      ("escalation_free",)),
          "^app 'm': 'P#x' is not an identifier"),
-        (ScenarioDef("aps_cs1", {"apps": 1, "x": 1}, (), ("ApsTypeOK",)),
-         "^'x' is not valid for model aps_cs1$"),
-        (ScenarioDef("aps_cs1", {"apps": 1}),
+        (ScenarioDef("aps_cs1", 1),
          "^check_list must name at least one invariant$"),
     ], ids=["max_states 2.5", "app id with a blank", "name with a leading digit",
-            "name with a comment", "cs1 with an unknown parameter", "no invariants"])
+            "name with a comment", "no invariants"])
     def test_rejected_when_built(self, definition, problem):
         with pytest.raises(ConfigurationError, match=problem):
             build_system(definition)
 
     @pytest.mark.parametrize("definition,field", [
         (ScenarioDef(model_name="zzz"), ()),
-        (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)), ("params", "apps")),
-        (ScenarioDef(model_name="aps_cs1", params={"apps": 0},
-                     check_list=("ApsTypeOK",)), ("params", "apps")),
+        (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)), ("apps",)),
+        (ScenarioDef(model_name="aps_cs1", apps=0,
+                     check_list=("ApsTypeOK",)), ("apps",)),
+        (ScenarioDef(model_name="aps_cs1", apps=OVER_BUDGET,
+                     check_list=("ApsTypeOK",)), ("apps",)),
         (ScenarioDef(model_name="custom_permissions",
                      check_list=("escalation_free",)), ("app_specs",)),
         (ScenarioDef(model_name="custom_permissions",
                      app_specs=(AppSpec("m"), AppSpec("m")),
                      check_list=("escalation_free",)), ("app_specs", 1)),
-        (ScenarioDef(model_name="aps_cs1", params={"apps": 1}, check_list=("Nope",)),
+        (ScenarioDef(model_name="aps_cs1", apps=1, check_list=("Nope",)),
          ("check_list", 0)),
-        (ScenarioDef(model_name="aps_cs1", params={"apps": 1},
+        (ScenarioDef(model_name="aps_cs1", apps=1,
                      check_list=("ApsTypeOK",), max_states=0), ("max_states",)),
-        (ScenarioDef("aps_cs1", {"apps": 1}, (AppSpec("m"),), ("ApsTypeOK",)),
+        (ScenarioDef("aps_cs1", 1, (AppSpec("m"),), ("ApsTypeOK",)),
          ("app_specs", 0)),
-        (ScenarioDef("custom_permissions", {"apps": 3}, (AppSpec("m"),),
-                     ("escalation_free",)), ("params", "apps")),
-        *((ScenarioDef("aps_cs1", {"apps": apps}, (), ("ApsTypeOK",)), ("params", "apps"))
+        (ScenarioDef("custom_permissions", 3, (AppSpec("m"),),
+                     ("escalation_free",)), ("apps",)),
+        *((ScenarioDef("aps_cs1", apps, (), ("ApsTypeOK",)), ("apps",))
           for apps in (True, 2.5, "3")),
-        *((ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",), limit), ("max_states",))
+        *((ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), limit), ("max_states",))
           for limit in (True, 2.5, "5")),
-        (ScenarioDef("custom_permissions", {}, (AppSpec("m"), AppSpec("my app")),
+        (ScenarioDef("custom_permissions", None, (AppSpec("m"), AppSpec("my app")),
                      ("escalation_free",)), ("app_specs", 1)),
-        (ScenarioDef("custom_permissions", {},
+        (ScenarioDef("custom_permissions", None,
                      (AppSpec("m", (PermissionDeclaration("1P", "normal"),)),),
                      ("escalation_free",)), ("app_specs", 0)),
-        (ScenarioDef("custom_permissions", {},
+        (ScenarioDef("custom_permissions", None,
                      (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
                      ("escalation_free",)), ("app_specs", 0)),
-        (ScenarioDef("aps_cs1", {"apps": 1, "x": 1}, (), ("ApsTypeOK",)), ("params", "x")),
-        (ScenarioDef("aps_cs1", {"apps": 1}), ()),
-        (ScenarioDef("custom_permissions", {}, (AppSpec("m"),), ("escalation_free", "Nope")),
-         ("check_list", 1)),
+        (ScenarioDef("aps_cs1", 1), ()),
+        (ScenarioDef("custom_permissions", None, (AppSpec("m"),),
+                     ("escalation_free", "Nope")), ("check_list", 1)),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
+            "cs1 over the slot budget",
             "custom without apps", "duplicate app ids", "unknown invariant",
             "max_states 0", "cs1 with app specs", "custom with apps",
             "apps True", "apps 2.5", "apps '3'",
             "max_states True", "max_states 2.5", "max_states '5'",
             "app id with a blank", "name with a leading digit", "name with a comment",
-            "cs1 with an unknown parameter", "no invariants", "second invariant unknown"])
+            "no invariants", "second invariant unknown"])
     def test_the_error_names_the_field_at_fault(self, definition, field):
         for build in (validate, build_system):
             with pytest.raises(ConfigurationError) as exc:
@@ -474,21 +479,27 @@ class TestDirectDefinitions:
             assert exc.value.field == field
 
     def test_a_state_limit_rejected_by_check_names_its_field(self):
-        system = build_system(ScenarioDef("aps_cs1", {"apps": 1}, (), ("ApsTypeOK",)))
+        system = build_system(ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",)))
         with pytest.raises(ConfigurationError) as exc:
             check(system, CheckOptions(max_states=0))
         assert exc.value.field == ("max_states",)
 
-    def test_a_huge_app_count_validates_without_building(self, monkeypatch):
+    def test_a_huge_app_count_is_refused_without_building(self, monkeypatch):
         def refuse(app_count):
             raise AssertionError(f"built aps_cs1 with {app_count} apps")
 
         monkeypatch.setattr(cs1, "build_system", refuse)
-        scenario = parse_scenario("model aps_cs1\napps 1_000_000_000_000")
-        assert scenario.params == {"apps": 10**12}
+        assert (str(parse_error("model aps_cs1\napps 1_000_000_000_000"))
+                == "2:6: semantic: app count must be at most 21845")
+        for build in (validate, build_system):
+            with pytest.raises(ConfigurationError, match="^app count must be at most"):
+                build(ScenarioDef("aps_cs1", 10**12, (), ("ApsTypeOK",)))
+        # The largest count in the budget validates, and only then builds.
+        scenario = parse_scenario("model aps_cs1\napps 21_845")
+        assert scenario.apps == cs1.MAX_SLOTS // 3 == OVER_BUDGET - 1
         assert validate(scenario) == get_model("aps_cs1")
-        # The patch reaches the registry, so neither call above built.
-        with pytest.raises(AssertionError, match="built aps_cs1"):
+        # The patch reaches the registry, so none of the calls above built.
+        with pytest.raises(AssertionError, match="built aps_cs1 with 21845 apps"):
             build_system(scenario)
 
 
