@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import os
 import sys
@@ -26,11 +27,24 @@ _EXIT_BY_VERDICT = {Verdict.PASS: 0, Verdict.VIOLATION: 1,
                     Verdict.LIMIT_EXCEEDED: 3, Verdict.INTERRUPTED: 3}
 
 
+def _write(text: str) -> None:
+    """Write and flush stdout; a stdout Python started without raises EBADF."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's writer would swallow an OSError
+        _write(self.format_help())
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first `main` call and shared by later ones: each
     `parse_args` fills a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apscheck",
         description="Explicit-state safety checker for the built-in "
                     "permission-system models.",
@@ -86,29 +100,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
     system = build_system(scenario)
     if args.replay is not None:
         result = replay(_read(args.replay), system)
-        print(f"replay: valid against model {system.name}" if result else
-              f"replay: divergent at step {result.divergent_step}: {result.reason}")
+        _write(f"replay: valid against model {system.name}\n" if result else
+               f"replay: divergent at step {result.divergent_step}: {result.reason}\n")
         return 0 if result else 1
     report = check(system, CheckOptions(max_states=max_states,
                                         check_invariants=not args.stats_only))
     render = render_structured if args.format == "json" else render_text
-    sys.stdout.write(render(report))
+    _write(render(report))
     return _EXIT_BY_VERDICT[report.verdict]
 
 
 def _cmd_list_models() -> int:
-    for info in map(get_model, model_names()):
-        print(f"{info.name}  params: {', '.join(info.params) or '-'}  "
-              f"invariants: {', '.join(info.invariants)}")
+    _write("".join(f"{info.name}  params: {', '.join(info.params) or '-'}  "
+                   f"invariants: {', '.join(info.invariants)}\n"
+                   for info in map(get_model, model_names())))
     return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = _cmd_list_models() if args.command == "list-models" else _cmd_check(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        return code
+        return _cmd_list_models() if args.command == "list-models" else _cmd_check(args)
     except ScenarioError as exc:
         code, line = 2, f"{args.scenario}:{exc}"
     except CheckerError as exc:
@@ -122,7 +134,3 @@ def main(argv: "list[str] | None" = None) -> int:
         code, line = 3, f"error: cannot write to stdout: {exc}"
     _say(line)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -38,15 +38,6 @@ def app_ids(app_count: int) -> tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(app_count))
 
 
-def variable_decls(app_count: int) -> tuple[VariableDecl, ...]:
-    ids = app_ids(app_count)
-    return (
-        VariableDecl("askedPerms", ids, PERM_LEVELS),
-        VariableDecl("grantedPerms", ids, PERM_LEVELS),
-        VariableDecl("alreadyInstalled", ids, (0, 1)),
-    )
-
-
 def validate_app_count(app_count) -> None:
     """Raise :class:`ConfigurationError` unless `app_count` is an `int` from
     1 (`bool` excluded) to ``MAX_SLOTS // 3``, before anything is built."""
@@ -63,8 +54,12 @@ def build_system(app_count: int) -> TransitionSystem:
     """Package the machine as a kernel TransitionSystem over byte-encoded
     states: one slot per app in each of the three variables."""
     validate_app_count(app_count)
-    decls = variable_decls(app_count)
     ids = app_ids(app_count)
+    decls = (
+        VariableDecl("askedPerms", ids, PERM_LEVELS),
+        VariableDecl("grantedPerms", ids, PERM_LEVELS),
+        VariableDecl("alreadyInstalled", ids, (0, 1)),
+    )
     asked, granted, installed = variable_slices(decls)
     initial = canonical_encode(decls, {
         "askedPerms": dict.fromkeys(ids, NONE),

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..kernel import (ActionLabel, Record, TransitionSystem, VariableDecl,
-                      canonical_encode)
+                      canonical_encode, variable_slices)
 
 NORMAL = "normal"
 DANGEROUS = "dangerous"
@@ -50,8 +50,7 @@ class PermissionDeclaration(Record):
         if not name:
             raise ConfigurationError("permission name must be non-empty")
         if level not in PROTECTION_LEVELS:
-            raise ConfigurationError(
-                f"protection level must be one of {PROTECTION_LEVELS}, not {level!r}")
+            raise ConfigurationError(f"unknown protection level {level!r}")
         super().__init__(name, level)
 
 
@@ -101,60 +100,58 @@ def build_system(apps: Sequence[AppSpec]) -> TransitionSystem:
 
     ids = tuple(a.id for a in apps)
     names = tuple(sorted({d.name for a in apps for d in a.declares}))
-    name_at = {n: j for j, n in enumerate(names)}
-    # Installed slots come first, then the registry's level and definer
-    # slots, then one grant slot per request, numbered by `grant`. Slot i
-    # sits at bit offset top - 8 * i of the state read as one big-endian
-    # integer.
-    level_at, definer_at = len(ids), len(ids) + len(names)
-    grant = definer_at + len(names)
-    width = grant + sum(len(a.requests) for a in apps)
-    top = 8 * (width - 1)
-
-    # One pass over the apps. Per app, its plan: installed slot and offset,
-    # Install label, per declared name (level slot, level code and offset,
-    # definer code and offset), and per request of a declared name (level
-    # slot, grant slot, labels, grant offset); other requests are never
-    # enabled. Per name: its dangerous definers' installed slots and its
-    # grant slots.
-    plans, grant_keys = [], []
-    definers: dict[str, list[int]] = {}
-    requested: dict[str, list[int]] = {}
-    for k, app in enumerate(apps):
-        declares = []
-        for d in app.declares:
-            j = name_at[d.name]
-            declares.append((level_at + j, _REGISTRY_LEVELS.index(d.level),
-                             top - 8 * (level_at + j), k + 1, top - 8 * (definer_at + j)))
-            if d.level == DANGEROUS:
-                definers.setdefault(d.name, []).append(k)
-        requests = []
-        for n in app.requests:
-            grant_keys.append(f"{app.id}:{n}")
-            if n in name_at:
-                requests.append((
-                    level_at + name_at[n], grant,
-                    ActionLabel("Request", (("a", app.id), ("n", n))),
-                    ActionLabel("UserAllow", (("a", app.id), ("n", n))),
-                    ActionLabel("UserDeny", (("a", app.id), ("n", n))),
-                    top - 8 * grant))
-                requested.setdefault(n, []).append(grant)
-            grant += 1
-        plans.append((k, top - 8 * k, ActionLabel("Install", (("a", app.id),)),
-                       declares, requests))
-
+    grant_keys = tuple(f"{a.id}:{n}" for a in apps for n in a.requests)
     decls = (
         VariableDecl("installed", ids, (0, 1)),
         VariableDecl("registryLevel", names, _REGISTRY_LEVELS),
         VariableDecl("registryDefiner", names, ("",) + ids),
-        VariableDecl("grants", tuple(grant_keys), _GRANT_MODES),
+        VariableDecl("grants", grant_keys, _GRANT_MODES),
     )
+    installed, level, definer, grants = variable_slices(decls)
     initial = canonical_encode(decls, {
         "installed": dict.fromkeys(ids, 0),
         "registryLevel": dict.fromkeys(names, ""),
         "registryDefiner": dict.fromkeys(names, ""),
         "grants": dict.fromkeys(grant_keys, ""),
     })
+    # Slot i sits at bit offset top - 8 * i of the state read as one
+    # big-endian integer.
+    width = len(initial)
+    top = 8 * (width - 1)
+    registry = {n: (level.start + j, definer.start + j) for j, n in enumerate(names)}
+
+    # One pass over the apps, which meets the grant slots in order. Per app,
+    # its plan: installed slot and offset, Install label, per declared name
+    # (level slot, level code and offset, definer code and offset), and per
+    # request of a declared name (level slot, grant slot, labels, grant
+    # offset); other requests are never enabled. Per name: its dangerous
+    # definers' installed slots and its grant slots.
+    plans = []
+    definers: dict[str, list[int]] = {}
+    requested: dict[str, list[int]] = {}
+    grant = grants.start
+    for k, app in enumerate(apps):
+        i = installed.start + k
+        declares = []
+        for d in app.declares:
+            at_level, at_definer = registry[d.name]
+            declares.append((at_level, _REGISTRY_LEVELS.index(d.level),
+                             top - 8 * at_level, k + 1, top - 8 * at_definer))
+            if d.level == DANGEROUS:
+                definers.setdefault(d.name, []).append(i)
+        requests = []
+        for n in app.requests:
+            if n in registry:
+                requests.append((
+                    registry[n][0], grant,
+                    ActionLabel("Request", (("a", app.id), ("n", n))),
+                    ActionLabel("UserAllow", (("a", app.id), ("n", n))),
+                    ActionLabel("UserDeny", (("a", app.id), ("n", n))),
+                    top - 8 * grant))
+                requested.setdefault(n, []).append(grant)
+            grant += 1
+        plans.append((i, top - 8 * i, ActionLabel("Install", (("a", app.id),)),
+                      declares, requests))
 
     def successors(s: bytes) -> list[tuple[ActionLabel, bytes]]:
         """Per app ascending by id: Install if not installed, else the

@@ -198,15 +198,15 @@ def _parse_app_block(stream: _TokenStream) -> tuple[_Token, AppSpec]:
             name_tok = stream.expect("ident", "a permission name")
             stream.expect("ident", "'level'", "level")
             level_tok = stream.expect("ident", "a protection level")
-            if level_tok.text not in ("normal", "dangerous"):
-                raise ScenarioError(
-                    f"unknown protection level {level_tok.text!r}",
-                    level_tok.line, level_tok.column)
+            try:
+                declaration = PermissionDeclaration(name_tok.text, level_tok.text)
+            except ConfigurationError as exc:
+                raise ScenarioError(str(exc), level_tok.line, level_tok.column) from None
             if name_tok.text in declares:
                 raise ScenarioError(
                     f"app {id_tok.text!r} declares {name_tok.text!r} more than once",
                     name_tok.line, name_tok.column)
-            declares[name_tok.text] = PermissionDeclaration(name_tok.text, level_tok.text)
+            declares[name_tok.text] = declaration
         else:
             requests.append(stream.expect("ident", "a permission name").text)
     raise ScenarioError(f"unterminated app block for {id_tok.text!r}",

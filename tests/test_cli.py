@@ -24,6 +24,7 @@ from apscheck import cli
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted(p.name for p in (ROOT / "scenarios").glob("*.scn"))
 VULN_REPLAY = str(ROOT / "tests" / "golden" / "custom_vuln.json.out")
+CLOSED_STDOUT = "error: cannot write to stdout: [Errno 9] Bad file descriptor"
 
 # The steps `_cmd_check` calls through names in `cli` that a test can
 # replace, each with the scenario and flags of a `check` that reaches it.
@@ -431,6 +432,23 @@ class TestModuleEntryPoint:
         assert proc.returncode == 3
         assert re.fullmatch(r"error: cannot write to stdout: [^\n]*\n", proc.stderr)
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv,code,line", [
+        (["check", "scenarios/custom_safe.scn"], 3, CLOSED_STDOUT),
+        (["list-models"], 3, CLOSED_STDOUT),
+        (["check", "scenarios/custom_vuln.scn", "--replay", VULN_REPLAY], 3, CLOSED_STDOUT),
+        (["check", "scenarios/missing.scn"], 2, "error: cannot read scenarios/missing.scn: "
+         "[Errno 2] No such file or directory: 'scenarios/missing.scn'"),
+    ], ids=["pass_text", "list_models", "replay", "missing_scenario"])
+    def test_stdout_closed_at_start_exits_three_with_one_line(self, checkout_env, argv,
+                                                              code, line, unbuffered):
+        # With fd 1 closed, as by `>&-`, Python starts with `sys.stdout` None.
+        proc = subprocess.run(
+            [sys.executable, "-m", "apscheck", *argv], cwd=ROOT,
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+            env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+        assert (proc.returncode, proc.stderr) == (code, line + "\n")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_full_stdout_exits_three_with_one_line(self, checkout_env, unbuffered):
@@ -439,6 +457,20 @@ class TestModuleEntryPoint:
             proc = subprocess.run(
                 [sys.executable, "-m", "apscheck", "check", "scenarios/custom_safe.scn"],
                 cwd=ROOT, stdout=full, stderr=subprocess.PIPE, text=True,
+                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+        assert (proc.returncode, proc.stderr) == (
+            3, "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]],
+                             ids=["main", "check"])
+    def test_help_to_a_full_stdout_exits_three_with_one_line(self, checkout_env, argv,
+                                                             unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "apscheck", *argv], cwd=ROOT, stdout=full,
+                stderr=subprocess.PIPE, text=True,
                 env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
         assert (proc.returncode, proc.stderr) == (
             3, "error: cannot write to stdout: [Errno 28] No space left on device\n")
@@ -611,13 +643,14 @@ def commands(draw) -> tuple[str, list[str]]:
 
 class TestStreamFaults:
     """`cli.main` with a stdout or stderr that fails from some write or
-    flush call on. A failed stdout exits 3 with one error line; a failed
-    stderr loses lines but keeps the exit code. Either way the code is one
-    of 0-3, it is 1 only where the run without faults gives 1, and stderr
-    holds no traceback and at most one line besides the advisories."""
+    flush call on, or with no stdout (None, as when Python starts with fd 1
+    closed). A failed or missing stdout exits 3 with one error line; a
+    failed stderr loses lines but keeps the exit code. Either way the code
+    is one of 0-3, it is 1 only where the run without faults gives 1, and
+    stderr holds no traceback and at most one line besides the advisories."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(command=commands(), stream=st.sampled_from(("stdout", "stderr")),
+    @given(command=commands(), stream=st.sampled_from(("stdout", "stderr", "no stdout")),
            at=st.integers(1, 5), error=st.sampled_from((errno.EPIPE, errno.ENOSPC,
                                                         errno.EIO)))
     def test_exit_code_and_stderr_under_a_failing_stream(self, tmp_path_factory, command,
@@ -629,15 +662,19 @@ class TestStreamFaults:
 
         def run(out, err):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                return cli.main(argv), out.getvalue(), err.getvalue()
+                return cli.main(argv), err.getvalue()
 
         with contextlib.chdir(workdir):
-            clean_code, clean_out, clean_err = run(io.StringIO(), io.StringIO())
+            clean_code, clean_err = run(io.StringIO(), io.StringIO())
             failing = FailingStream(at, error)
-            code, out, err = run(*((failing, io.StringIO()) if stream == "stdout"
-                                   else (io.StringIO(), failing)))
+            code, err = run(*{"stdout": (failing, io.StringIO()),
+                              "stderr": (io.StringIO(), failing),
+                              "no stdout": (None, io.StringIO())}[stream])
+        if stream == "no stdout":  # every run that would exit 0 or 1 writes a report
+            assert code == (3 if clean_code in (0, 1) else clean_code)
+            error = errno.EBADF
         assert code in (0, 1, 2, 3)
-        assert code == clean_code or (stream, code) == ("stdout", 3)
+        assert code == clean_code or (stream != "stderr" and code == 3)
         assert "Traceback" not in err
         advisories = [line for line in clean_err.splitlines() if ": warning: " in line]
         lines = err.splitlines()

@@ -432,6 +432,12 @@ class TestWithInvariants:
         report = check(system.with_invariants(["a", "a"]))
         assert report.invariants_checked == ("a", "a")
 
+    def test_an_unknown_name_is_a_configuration_error(self):
+        system = graph_system({}, ["s"], invariants=(("a", lambda n: True),))
+        with pytest.raises(ConfigurationError) as exc:
+            system.with_invariants(["a", "Nope"])
+        assert str(exc.value) == "model 'graph' has no invariant named 'Nope'"
+
 
 class TestTraceReplayInvariant:
     def test_labels_reproduce_recorded_states(self):

@@ -109,8 +109,7 @@ def test_a_scenario_without_an_app_count_holds_none():
      "variable 'x' has 257 domain values; the one-byte-per-slot state "
      "encoding holds at most 256"),
     (lambda: PermissionDeclaration("", "normal"), "permission name must be non-empty"),
-    (lambda: PermissionDeclaration("P", "medium"),
-     "protection level must be one of ('normal', 'dangerous'), not 'medium'"),
+    (lambda: PermissionDeclaration("P", "medium"), "unknown protection level 'medium'"),
     (lambda: AppSpec("x", (PermissionDeclaration("P", "normal"),
                            PermissionDeclaration("P", "dangerous"))),
      "app 'x' declares 'P' more than once"),

@@ -213,6 +213,14 @@ class TestReplay:
         with pytest.raises(ReplayDocumentError, match="JSON"):
             replay("{not json", cs1_system)
 
+    @pytest.mark.parametrize("steps", [[], {}], ids=["empty list", "object"])
+    def test_empty_or_non_list_trace_is_a_document_error(self, cs1_violation, cs1_system,
+                                                         steps):
+        doc = json.loads(render_structured(cs1_violation))
+        doc["trace"] = steps
+        with pytest.raises(ReplayDocumentError, match="^trace is empty$"):
+            replay(json.dumps(doc), cs1_system)
+
     def test_unknown_invariant_is_a_document_error(self, cs1_violation, cs1_system):
         doc = json.loads(render_structured(cs1_violation))
         doc["violated_invariant"] = "SomethingElse"
