@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..kernel import (ActionLabel, Record, TransitionSystem, VariableDecl,
-                      canonical_encode, variable_slices)
+from ..kernel import (MAX_DOMAIN_SIZE, ActionLabel, Record, TransitionSystem,
+                      VariableDecl, canonical_encode, variable_slices)
 
 NORMAL = "normal"
 DANGEROUS = "dangerous"
@@ -77,11 +77,15 @@ class AppSpec(Record):
 
 
 def validate_apps(apps: Sequence[AppSpec]) -> None:
-    """Raise :class:`ConfigurationError` unless there is an app, no app id
-    repeats and none contains ':'."""
+    """Raise :class:`ConfigurationError` unless there are 1 to 255 apps, no
+    app id repeats and none contains ':'."""
     if not apps:
         raise ConfigurationError(f"model {MODEL_NAME} requires at least one app block",
                                  ("app_specs",))
+    ceiling = MAX_DOMAIN_SIZE - 1  # registryDefiner holds "" and each app id
+    if len(apps) > ceiling:
+        raise ConfigurationError(f"model {MODEL_NAME} takes at most {ceiling} apps",
+                                 ("app_specs", ceiling))
     seen: set[str] = set()
     for i, app in enumerate(apps):
         if app.id in seen:

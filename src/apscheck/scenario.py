@@ -77,14 +77,14 @@ class ScenarioDef(Record):
 
 
 class _Token(NamedTuple):
-    kind: str  # ident | int | lbrace | rbrace
+    kind: str  # ident | int | lbrace | rbrace | end
     text: str
     line: int
     column: int
 
 
-def _tokenize(source: str) -> Iterator[_Token]:
-    line, line_start = 1, 0
+def _tokenize(source: str) -> list[_Token]:
+    tokens, line, line_start = [], 1, 0
     for match in _LEXEME.finditer(source):
         kind = match.lastgroup
         column = match.start() - line_start + 1
@@ -94,38 +94,21 @@ def _tokenize(source: str) -> Iterator[_Token]:
             raise ScenarioError(f"unexpected character {match.group()!r}",
                                 line, column, SYNTAX)
         elif kind != "comment":
-            yield _Token(kind, match.group(), line, column)
+            tokens.append(_Token(kind, match.group(), line, column))
+    # End of input is one column past the last token.
+    last = tokens[-1] if tokens else _Token("", "", 1, 1)
+    end = _Token("end", "end of input", last.line, last.column + len(last.text))
+    return tokens + [end]
 
 
-class _TokenStream:
-    """One pass over a source's tokens; iterating and `expect` share it."""
-
-    def __init__(self, tokens: list[_Token]):
-        # End of input is reported one column past the last token.
-        last = tokens[-1] if tokens else _Token("", "", 1, 1)
-        self._end = (last.line, last.column + len(last.text))
-        self._tokens = iter(tokens)
-
-    def __iter__(self) -> Iterator[_Token]:
-        return self._tokens
-
-    def expect(self, kind: str, what: str, text: Optional[str] = None) -> _Token:
-        tok = next(self._tokens, None)
-        if tok is None:
-            raise ScenarioError(f"expected {what}, found end of input",
-                                *self._end, SYNTAX)
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ScenarioError(f"expected {what}, found {tok.text!r}",
-                                tok.line, tok.column, SYNTAX)
-        return tok
-
-
-def _int_value(tok: _Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:
-        raise ScenarioError(f"malformed integer {tok.text!r}",
-                            tok.line, tok.column, SYNTAX) from None
+def _expect(tokens: Iterator[_Token], kind: str, what: str,
+            text: Optional[str] = None) -> _Token:
+    tok = next(tokens)
+    if tok.kind != kind or (text is not None and tok.text != text):
+        found = tok.text if tok.kind == "end" else repr(tok.text)
+        raise ScenarioError(f"expected {what}, found {found}",
+                            tok.line, tok.column, SYNTAX)
+    return tok
 
 
 def parse_scenario(source: str) -> ScenarioDef:
@@ -134,70 +117,74 @@ def parse_scenario(source: str) -> ScenarioDef:
     ScenarioDef or raises ScenarioError, never anything else."""
     # Tokenizing the whole source first makes a lexical error anywhere win
     # over every other defect.
-    stream = _TokenStream(list(_tokenize(source)))
+    tokens = iter(_tokenize(source))
 
-    # Each single-valued directive seen: its value token and converted value.
-    single: dict[str, tuple[_Token, object]] = {}
-    checks: list[_Token] = []
-    blocks: list[tuple[_Token, AppSpec]] = []
+    # Field path -> the token it was read from; directives name their fields.
+    where: dict[tuple, _Token] = {}
+    value: dict[str, object] = {}
+    app_specs: list[AppSpec] = []
+    check_list: list[str] = []
 
-    for tok in stream:
+    while (tok := next(tokens)).kind != "end":
         if tok.kind != "ident":
             raise ScenarioError(f"expected a directive, found {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)
         if tok.text in _SINGLE_VALUED:
             kind, what = _SINGLE_VALUED[tok.text]
-            value_tok = stream.expect(kind, what)
-            if tok.text in single:
+            where[(tok.text,)] = value_tok = _expect(tokens, kind, what)
+            if tok.text in value:
                 raise ScenarioError(f"duplicate {tok.text!r} directive",
                                     value_tok.line, value_tok.column)
-            single[tok.text] = (value_tok, _int_value(value_tok) if kind == "int"
-                                else value_tok.text)
+            try:
+                value[tok.text] = (int(value_tok.text) if kind == "int"
+                                   else value_tok.text)
+            except ValueError:
+                raise ScenarioError(f"malformed integer {value_tok.text!r}",
+                                    value_tok.line, value_tok.column, SYNTAX) from None
         elif tok.text == "check":
-            checks.append(stream.expect("ident", "an invariant name"))
+            where[("check_list", len(check_list))] = tok = _expect(
+                tokens, "ident", "an invariant name")
+            check_list.append(tok.text)
         elif tok.text == "app":
-            blocks.append(_parse_app_block(stream))
+            where[("app_specs", len(app_specs))] = tok = _expect(
+                tokens, "ident", "an app id")
+            app_specs.append(_parse_app_block(tokens, tok))
         else:
             raise ScenarioError(f"unknown directive {tok.text!r}",
                                 tok.line, tok.column, SYNTAX)
-    if "model" not in single:
+    if "model" not in value:
         raise ScenarioError("missing 'model' directive", 1, 1)
-    value = {name: v for name, (_, v) in single.items()}
 
     # `models.validate` decides whether the definition is valid; a defect is
     # located at the token its field was read from, else at the model name.
     try:
         scenario = ScenarioDef(
-            value["model"], value.get("apps"), [spec for _, spec in blocks],
-            [t.text for t in checks] or get_model(value["model"]).invariants,
+            value["model"], value.get("apps"), app_specs,
+            check_list or get_model(value["model"]).invariants,
             value.get("max_states", DEFAULT_MAX_STATES))
         validate(scenario)
     except ConfigurationError as exc:
-        # The fields `("apps",)` and `("max_states",)` are named by their directives.
-        tokens = {(name,): tok for name, (tok, _) in single.items()}
-        tokens.update((("app_specs", i), id_tok) for i, (id_tok, _) in enumerate(blocks))
-        tokens.update((("check_list", i), tok) for i, tok in enumerate(checks))
-        tok = tokens.get(exc.field) or single["model"][0]
+        tok = where.get(exc.field) or where[("model",)]
         raise ScenarioError(str(exc), tok.line, tok.column) from None
     return scenario
 
 
-def _parse_app_block(stream: _TokenStream) -> tuple[_Token, AppSpec]:
-    id_tok = stream.expect("ident", "an app id")
-    stream.expect("lbrace", "'{'")
+def _parse_app_block(tokens: Iterator[_Token], id_tok: _Token) -> AppSpec:
+    _expect(tokens, "lbrace", "'{'")
     declares: dict[str, PermissionDeclaration] = {}
     requests: list[str] = []
-    for tok in stream:
-        if tok.kind == "rbrace":
-            return id_tok, AppSpec(id_tok.text, tuple(declares.values()), tuple(requests))
+    while (tok := next(tokens)).kind != "rbrace":
+        if tok.kind == "end":
+            raise ScenarioError(f"unterminated app block for {id_tok.text!r}",
+                                id_tok.line, id_tok.column, SYNTAX)
         if tok.kind != "ident" or tok.text not in ("declare", "request"):
             raise ScenarioError(
                 f"expected 'declare', 'request' or '}}', found {tok.text!r}",
                 tok.line, tok.column, SYNTAX)
         if tok.text == "declare":
-            name_tok = stream.expect("ident", "a permission name")
-            stream.expect("ident", "'level'", "level")
-            level_tok = stream.expect("ident", "a protection level")
+            name_tok = _expect(tokens, "ident", "a permission name")
+            _expect(tokens, "ident", "'level'", "level")
+            level_tok = _expect(tokens, "ident", "a protection level")
             try:
                 declaration = PermissionDeclaration(name_tok.text, level_tok.text)
             except ConfigurationError as exc:
@@ -208,9 +195,8 @@ def _parse_app_block(stream: _TokenStream) -> tuple[_Token, AppSpec]:
                     name_tok.line, name_tok.column)
             declares[name_tok.text] = declaration
         else:
-            requests.append(stream.expect("ident", "a permission name").text)
-    raise ScenarioError(f"unterminated app block for {id_tok.text!r}",
-                        id_tok.line, id_tok.column, SYNTAX)
+            requests.append(_expect(tokens, "ident", "a permission name").text)
+    return AppSpec(id_tok.text, tuple(declares.values()), tuple(requests))
 
 
 def render_scenario(scenario: ScenarioDef) -> str:

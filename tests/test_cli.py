@@ -131,14 +131,14 @@ class TestCheckCommand:
             + "max_states 10\n")
         return str(path)
 
-    def test_domain_beyond_one_byte_is_rejected_at_build(self, run_cli, tmp_path):
-        # 300 apps give the registry's definer variable 301 values.
-        code, out, err = run_cli("check", self.many_apps_scenario(
-            tmp_path / "wide.scn", 300))
+    def test_domain_beyond_one_byte_is_refused_at_the_256th_app(self, run_cli, tmp_path):
+        # 300 apps would give the registry's definer variable 301 values.
+        path = self.many_apps_scenario(tmp_path / "wide.scn", 300)
+        code, out, err = run_cli("check", path)
         assert code == 2
         assert out == ""
-        assert err == ("error: variable 'registryDefiner' has 301 domain values; "
-                       "the one-byte-per-slot state encoding holds at most 256\n")
+        assert err == (f"{path}:257:5: semantic: model custom_permissions takes "
+                       "at most 255 apps\n")
 
     def test_domain_of_exactly_256_values_is_checked(self, run_cli, tmp_path):
         code, out, err = run_cli("check", self.many_apps_scenario(
@@ -350,8 +350,9 @@ class TestResourceErrors:
 
 
 # id -> (arguments after `check`, exit code, the one stderr line). {tmp}
-# is the test's temporary directory and {scn} the shipped scenarios; the
-# two `--max-states 0` rows would also fail to build or to read the replay.
+# is the test's temporary directory and {scn} the shipped scenarios. The
+# scenario's located error comes before `--max-states 0`, and that flag's
+# error before reading the replay.
 ERROR_LINES = {
     "missing_scenario": (
         ["{tmp}/missing.scn"], 2, "error: cannot read {tmp}/missing.scn: "
@@ -361,12 +362,14 @@ ERROR_LINES = {
         "codec can't decode byte 0xff in position 0: invalid start byte"),
     "scenario_error": (
         ["{tmp}/bad.scn"], 2, "{tmp}/bad.scn:1:7: semantic: unknown model 'nosuch'"),
-    "build_error": (
-        ["{tmp}/wide.scn"], 2, "error: variable 'registryDefiner' has 257 domain "
-        "values; the one-byte-per-slot state encoding holds at most 256"),
-    "max_states_zero": (
+    "app_ceiling": (
+        ["{tmp}/wide.scn"], 2,
+        "{tmp}/wide.scn:257:5: semantic: model custom_permissions takes at most "
+        "255 apps"),
+    "app_ceiling_before_max_states_zero": (
         ["{tmp}/wide.scn", "--max-states", "0"], 2,
-        "error: max_states must be at least 1"),
+        "{tmp}/wide.scn:257:5: semantic: model custom_permissions takes at most "
+        "255 apps"),
     "max_states_zero_replay": (
         ["{scn}/cs1.scn", "--max-states", "0", "--replay", "{tmp}/missing.json"], 2,
         "error: max_states must be at least 1"),
@@ -511,7 +514,10 @@ class TestModuleEntryPoint:
         proc = subprocess.Popen(
             [sys.executable, "-m", "apscheck", "check", str(scn)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=checkout_env)
+            env=checkout_env,
+            # A SIGINT ignored by the shell that started pytest would be
+            # inherited, and the check would run to its end.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
             time.sleep(2.0)
             proc.send_signal(signal.SIGINT)

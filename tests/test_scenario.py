@@ -184,11 +184,23 @@ class TestParseErrors:
         ("model aps_cs1 apps", "1:19: syntax: expected an app count, found end of input"),
         ("model custom_permissions\napp m { declare P level",
          "2:24: syntax: expected a protection level, found end of input"),
+        ("", "1:1: semantic: missing 'model' directive"),
+        ("# only a comment\n", "1:1: semantic: missing 'model' directive"),
+        ("model aps_cs1\napps # count\n",
+         "2:5: syntax: expected an app count, found end of input"),
+        ("model custom_permissions\napp",
+         "2:4: syntax: expected an app id, found end of input"),
+        ("model custom_permissions\napp m {",
+         "2:5: syntax: unterminated app block for 'm'"),
+        ("model aps_cs1\napps 1\ncheck",
+         "3:6: syntax: expected an invariant name, found end of input"),
     ], ids=["tab is blank", "CR is blank", "vertical tab is not blank",
             "identifiers are ASCII", "lexical error wins", "malformed integer read first",
             "unknown directive read first", "duplicate before malformed integer",
             "level keyword", "level keyword, not a brace", "end of input",
-            "end of input after a keyword"])
+            "end of input after a keyword", "empty source", "only a comment",
+            "end of input before a comment", "end of input for an app id",
+            "end of input in an app block", "end of input for an invariant name"])
     def test_lexical_rules_and_which_error_wins(self, source, report):
         assert str(parse_error(source)) == report
 
@@ -464,6 +476,9 @@ class TestDirectDefinitions:
         (ScenarioDef("aps_cs1", 1), ()),
         (ScenarioDef("custom_permissions", None, (AppSpec("m"),),
                      ("escalation_free", "Nope")), ("check_list", 1)),
+        (ScenarioDef("custom_permissions", None,
+                     tuple(AppSpec(f"z{i}") for i in range(256)),
+                     ("escalation_free",)), ("app_specs", 255)),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
             "cs1 over the slot budget",
             "custom without apps", "duplicate app ids", "unknown invariant",
@@ -471,7 +486,7 @@ class TestDirectDefinitions:
             "apps True", "apps 2.5", "apps '3'",
             "max_states True", "max_states 2.5", "max_states '5'",
             "app id with a blank", "name with a leading digit", "name with a comment",
-            "no invariants", "second invariant unknown"])
+            "no invariants", "second invariant unknown", "custom over 255 apps"])
     def test_the_error_names_the_field_at_fault(self, definition, field):
         for build in (validate, build_system):
             with pytest.raises(ConfigurationError) as exc:
