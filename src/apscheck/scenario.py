@@ -177,7 +177,7 @@ def _parse_app_block(tokens: Iterator[_Token], id_tok: _Token) -> AppSpec:
         if tok.kind == "end":
             raise ScenarioError(f"unterminated app block for {id_tok.text!r}",
                                 id_tok.line, id_tok.column, SYNTAX)
-        if tok.kind != "ident" or tok.text not in ("declare", "request"):
+        if tok.text not in ("declare", "request"):
             raise ScenarioError(
                 f"expected 'declare', 'request' or '}}', found {tok.text!r}",
                 tok.line, tok.column, SYNTAX)

@@ -58,13 +58,6 @@ def cs1_consistent(state):
     return not any(a == "NOR" and g == "DAN" for a, g in zip(asked, granted))
 
 
-def cs1_type_ok(state):
-    asked, granted, installed = state
-    return (all(a in PERM_LEVELS for a in asked)
-            and all(g in PERM_LEVELS for g in granted)
-            and all(i in (0, 1) for i in installed))
-
-
 def reachable_levels(initial, successors):
     """Level sets by pure set algebra: levels[k] holds states whose shortest
     distance from the initial state is exactly k."""

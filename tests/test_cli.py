@@ -245,14 +245,9 @@ class TestReplayFlag:
 
 class TestListModels:
     def test_lists_models_sorted_with_invariants(self, run_cli):
-        code, out, err = run_cli("list-models")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("aps_cs1")
-        assert "ApsTypeOK, ApsConsistent" in lines[0]
-        assert lines[1].startswith("custom_permissions")
-        assert "escalation_free" in lines[1]
+        assert run_cli("list-models") == (0, (
+            "aps_cs1  params: apps  invariants: ApsTypeOK, ApsConsistent\n"
+            "custom_permissions  params: -  invariants: escalation_free\n"), "")
 
     def test_usage_error_exits_two(self):
         from apscheck.cli import main

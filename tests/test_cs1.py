@@ -4,11 +4,12 @@ independent enumerator in oracles.py."""
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import pytest
 
 import oracles
-from apscheck.errors import ConfigurationError
+from apscheck.errors import ConfigurationError, ModelIntegrityError
 from apscheck.kernel import (ActionLabel, CheckOptions, Verdict, canonical_encode,
                              check, decode)
 from apscheck.models import cs1
@@ -118,10 +119,16 @@ class TestPredicates:
             system, init = initial(n)
             assert invariant(system, "ApsTypeOK")(init)
 
-    def test_out_of_domain_value_fails_type_check(self):
-        system, _ = initial(1)
-        # Code 3 in the granted slot names no value of the level domain.
-        assert not invariant(system, "ApsTypeOK")(bytes([0, 3, 0]))
+    def test_out_of_domain_value_never_reaches_type_check(self):
+        # ApsTypeOK is constant because `check` refuses such a state before
+        # any predicate sees it: code 3 in the granted slot names no level.
+        system = cs1.build_system(1).with_invariants(["ApsTypeOK"])
+        grant = ActionLabel("Grant", (("r", "a1"),))
+        broken = replace(system, successors=lambda s: [(grant, bytes([0, 3, 0]))])
+        with pytest.raises(ModelIntegrityError, match=(
+                r"^successor via Grant\(a1\): grantedPerms\[a1\] holds code 3, "
+                "outside its declared domain$")):
+            check(broken)
 
     def test_consistency_examples(self):
         two_apps, init = initial(2)

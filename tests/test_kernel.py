@@ -48,6 +48,13 @@ def graph_system(edges: dict[str, list[tuple[str, str]]], initial: list[str],
     )
 
 
+class Interrupting(bytes):
+    """A state whose dedup lookup is interrupted."""
+
+    def __hash__(self):
+        raise KeyboardInterrupt
+
+
 class TestCanonicalEncode:
     decls = (
         VariableDecl("x", ("a1", "a2"), ("", "NOR", "DAN")),
@@ -132,12 +139,17 @@ class TestCanonicalEncode:
          "state encoding has 1 slots, declarations require 2"),
         ((VariableDecl("x", (), ()), VariableDecl("y", ("b",), (0,))), bytes([5]),
          "y[b] holds code 5, outside its declared domain"),
-    ], ids=["code", "too long", "too short", "after a keyless variable"])
+        ((), bytes([0]), "state encoding has 1 slots, declarations require 0"),
+    ], ids=["code", "too long", "too short", "after a keyless variable",
+            "no variables"])
     def test_malformed_encodings_do_not_decode(self, decls, encoding, problem):
         # The encodings that check's integrity tests below feed as states.
         with pytest.raises(DomainError) as raised:
             decode(decls, encoding)
         assert str(raised.value) == problem
+
+    def test_no_variables_decode_from_the_empty_encoding(self):
+        assert decode((), b"") == {}
 
 
 class TestCheck:
@@ -217,10 +229,6 @@ class TestCheck:
         assert (report.distinct_states, report.transitions, report.diameter) == (2, 2, 1)
 
     def test_interrupt_mid_expansion_counts_the_successors_consumed(self):
-        class Interrupting(bytes):
-            def __hash__(self):
-                raise KeyboardInterrupt
-
         base = graph_system({"a": [("l", "b"), ("m", "c"), ("r", "d")]}, ["a"])
 
         def successors(state):
@@ -231,6 +239,12 @@ class TestCheck:
         assert report.verdict is Verdict.INTERRUPTED
         # "b" is stored; the dedup lookup of "c" raises, and "c" counts.
         assert (report.distinct_states, report.transitions, report.diameter) == (2, 2, 1)
+
+    def test_interrupt_before_any_state_is_stored_reports_none(self):
+        base = graph_system({"a": [("l", "b")]}, ["a"])
+        report = check(replace(base, initial_states=(Interrupting(base.initial_states[0]),)))
+        assert report.verdict is Verdict.INTERRUPTED
+        assert (report.distinct_states, report.transitions, report.diameter) == (0, 0, 0)
 
     def test_options_validation(self):
         system = graph_system({}, ["s"])

@@ -103,6 +103,8 @@ def test_a_scenario_without_an_app_count_holds_none():
 @pytest.mark.parametrize("build,message", [
     (lambda: VariableDecl("x", ("a", "b", "a"), (0, 1)),
      "variable 'x' repeats key 'a'"),
+    (lambda: VariableDecl("x", ("a", "b", "b"), (0,)),
+     "variable 'x' repeats key 'b'"),
     (lambda: VariableDecl("x", ("a",), ("", "v", "")),
      "variable 'x' repeats domain value ''"),
     (lambda: VariableDecl("x", ("k",), tuple(range(257))),
@@ -113,8 +115,13 @@ def test_a_scenario_without_an_app_count_holds_none():
     (lambda: AppSpec("x", (PermissionDeclaration("P", "normal"),
                            PermissionDeclaration("P", "dangerous"))),
      "app 'x' declares 'P' more than once"),
-], ids=["repeated key", "repeated value", "257 values", "empty permission name",
-        "unknown level", "duplicate declaration"])
+    (lambda: AppSpec("m", (PermissionDeclaration("A", "normal"),
+                           PermissionDeclaration("B", "normal"),
+                           PermissionDeclaration("B", "dangerous"))),
+     "app 'm' declares 'B' more than once"),
+], ids=["repeated key", "repeated key not first", "repeated value", "257 values",
+        "empty permission name", "unknown level", "duplicate declaration",
+        "duplicate declaration not first"])
 def test_construction_rules_keep_their_messages(build, message):
     with pytest.raises(ConfigurationError) as exc:
         build()

@@ -113,6 +113,10 @@ class TestStructuredRendering:
                                 "diameter": 3}
         assert isinstance(doc["elapsed_ms"], float)
 
+    def test_elapsed_is_rendered_in_milliseconds_to_three_places(self, pass_report):
+        text = render_structured(pass_report._replace(elapsed=0.0123456))
+        assert text.endswith('\n  "elapsed_ms": 12.346\n}\n')
+
     def test_violation_trace_array_length_counts_states(self, cs1_violation):
         doc = json.loads(render_structured(cs1_violation))
         assert doc["verdict"] == "violation"

@@ -194,13 +194,18 @@ class TestParseErrors:
          "2:5: syntax: unterminated app block for 'm'"),
         ("model aps_cs1\napps 1\ncheck",
          "3:6: syntax: expected an invariant name, found end of input"),
+        ("model custom_permissions\napp m { grant P }",
+         "2:9: syntax: expected 'declare', 'request' or '}', found 'grant'"),
+        ("model custom_permissions\napp m { 5 }",
+         "2:9: syntax: expected 'declare', 'request' or '}', found '5'"),
     ], ids=["tab is blank", "CR is blank", "vertical tab is not blank",
             "identifiers are ASCII", "lexical error wins", "malformed integer read first",
             "unknown directive read first", "duplicate before malformed integer",
             "level keyword", "level keyword, not a brace", "end of input",
             "end of input after a keyword", "empty source", "only a comment",
             "end of input before a comment", "end of input for an app id",
-            "end of input in an app block", "end of input for an invariant name"])
+            "end of input in an app block", "end of input for an invariant name",
+            "word in an app block", "number in an app block"])
     def test_lexical_rules_and_which_error_wins(self, source, report):
         assert str(parse_error(source)) == report
 
