@@ -198,6 +198,13 @@ def _idfs_hits(state, successors, violated, budget):
 # auto-grant, dangerous-level requests fork on the user decision.
 # ---------------------------------------------------------------------------
 
+def oracle_apps(app_specs):
+    """The oracle's app list for the package's app specs, read through their
+    `id`, `declares` (each a `name` and `level`) and `requests` alone."""
+    return [(a.id, tuple((d.name, d.level) for d in a.declares), a.requests)
+            for a in app_specs]
+
+
 def custom_initial():
     # (installed, registry as (name, level, definer) triples, grants, denied)
     return (frozenset(), frozenset(), frozenset(), frozenset())

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,11 +39,6 @@ def within_one_second(fn, *args, **kwargs):
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s, expected < 1s"
     return result
-
-
-def oracle_apps(apps):
-    return [(a.id, tuple((d.name, d.level) for d in a.declares), a.requests)
-            for a in apps]
 
 
 def test_criterion_1_single_app_flaw_detection(run_cli):
@@ -93,13 +86,13 @@ def test_criterion_3_custom_permission_scenarios(run_cli):
         assert rendered == ["Install(malware)", "Request(malware, P)",
                             "Install(victim)"]
         assert oracles.custom_shortest_violation(
-            oracle_apps(vuln.app_specs)) == 3
+            oracles.oracle_apps(vuln.app_specs)) == 3
 
         safe = parse_scenario((SCENARIOS / "custom_safe.scn").read_text())
         safe_report = within_one_second(check, build_system(safe))
         assert safe_report.verdict is Verdict.PASS
         assert oracles.custom_shortest_violation(
-            oracle_apps(safe.app_specs)) is None
+            oracles.oracle_apps(safe.app_specs)) is None
 
         code, _, _ = run_cli("check", str(SCENARIOS / "custom_vuln.scn"))
         assert code == 1
@@ -126,7 +119,7 @@ def test_criterion_4_shortest_traces_match_iterative_deepening():
         for _ in range(50):
             apps = random_custom_apps(rng)
             report = check(custom.build_system(apps))
-            oracle_min = oracles.custom_shortest_violation(oracle_apps(apps))
+            oracle_min = oracles.custom_shortest_violation(oracles.oracle_apps(apps))
             if report.verdict is Verdict.VIOLATION:
                 violations += 1
                 assert oracle_min == len(report.trace), \
@@ -138,18 +131,7 @@ def test_criterion_4_shortest_traces_match_iterative_deepening():
         assert 5 <= violations <= 45
 
 
-def _strip_elapsed(text: str) -> str:
-    return "\n".join(line for line in text.splitlines()
-                     if "elapsed" not in line and "elapsed_ms" not in line)
-
-
-def run_once(args, env) -> tuple[int, str]:
-    proc = subprocess.run([sys.executable, "-m", "apscheck", *args],
-                          capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout
-
-
-def test_criterion_5_repeated_runs_are_byte_identical(checkout_env):
+def test_criterion_5_repeated_runs_are_byte_identical(run_python, mask_elapsed):
     with criterion(5, "determinism of stdout across processes"):
         invocations = [
             ("check", str(SCENARIOS / "cs1.scn")),
@@ -159,11 +141,11 @@ def test_criterion_5_repeated_runs_are_byte_identical(checkout_env):
             ("check", str(SCENARIOS / "custom_safe.scn")),
         ]
         for args in invocations:
-            first_code, first_out = run_once(args, checkout_env)
-            second_code, second_out = run_once(args, checkout_env)
-            assert first_code == second_code
-            assert _strip_elapsed(first_out) == _strip_elapsed(second_out)
-            assert first_out != ""
+            first, second = (run_python("-m", "apscheck", *args, capture_output=True)
+                             for _ in range(2))
+            assert first.returncode == second.returncode
+            assert mask_elapsed(first.stdout) == mask_elapsed(second.stdout)
+            assert first.stdout != ""
 
 
 def test_criterion_6_replay_validates_and_tampers_are_located(run_cli, tmp_path):

@@ -39,10 +39,6 @@ CALLS = {
 }
 
 
-def mask_elapsed(text: str) -> str:
-    return re.sub(r'(elapsed(?:_ms)?"?: )[0-9.]+', r"\1X", text)
-
-
 def forgetful(build):
     """`build` whose systems lose each state's successors after its first
     expansion, so the trace search cannot find the violating state's
@@ -62,91 +58,6 @@ def forgetful(build):
 
 
 class TestCheckCommand:
-    def test_violation_exits_one_with_trace_on_stdout(self, run_cli, scenarios_dir):
-        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"))
-        assert code == 1
-        assert "Error: invariant ApsConsistent is violated." in out
-        assert "State 2: <Ask(a1, NOR)>" in out
-        assert "State 3: <Grant(a1)>" in out
-        assert err == ""
-
-    def test_json_format_emits_a_structured_document(self, run_cli, scenarios_dir):
-        code, out, err = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
-                                 "--format", "json")
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["verdict"] == "violation"
-        assert doc["violated_invariant"] == "escalation_free"
-        assert len(doc["trace"]) == 4
-        assert err == ""
-
-    def test_passing_scenario_exits_zero(self, run_cli, scenarios_dir):
-        code, out, err = run_cli("check", str(scenarios_dir / "custom_safe.scn"))
-        assert code == 0
-        assert "No violations found" in out
-
-    def test_missing_file_exits_two(self, run_cli, tmp_path):
-        code, out, err = run_cli("check", str(tmp_path / "missing.scn"))
-        assert code == 2
-        assert out == ""
-        assert "missing.scn" in err
-
-    def test_parse_error_exits_two_with_location(self, run_cli, tmp_path):
-        bad = tmp_path / "bad.scn"
-        bad.write_text("model nosuch\n")
-        code, out, err = run_cli("check", str(bad))
-        assert code == 2
-        assert out == ""
-        assert f"{bad}:1:7: semantic:" in err
-
-    def test_max_states_override_exits_three_on_limit(self, run_cli, scenarios_dir):
-        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
-                                 "--max-states", "5")
-        assert code == 3
-        assert "partial" in out
-
-    def test_max_states_must_be_positive(self, run_cli, scenarios_dir):
-        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
-                                 "--max-states", "0")
-        assert code == 2
-        assert out == ""
-
-    def test_stats_only_disables_invariants(self, run_cli, scenarios_dir):
-        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
-                                 "--stats-only")
-        assert code == 0
-        assert "no invariants checked" in out
-        assert "distinct states: 11" in out
-
-    def test_scenario_max_states_is_honored(self, run_cli, tmp_path):
-        scn = tmp_path / "limited.scn"
-        scn.write_text("model aps_cs1\napps 1\nmax_states 3\ncheck ApsTypeOK\n")
-        code, out, err = run_cli("check", str(scn))
-        assert code == 3
-
-    @staticmethod
-    def many_apps_scenario(path, apps: int):
-        path.write_text("model custom_permissions\n" + "".join(
-            f"app z{i} {{ declare P level normal request P }}\n" for i in range(apps))
-            + "max_states 10\n")
-        return str(path)
-
-    def test_domain_beyond_one_byte_is_refused_at_the_256th_app(self, run_cli, tmp_path):
-        # 300 apps would give the registry's definer variable 301 values.
-        path = self.many_apps_scenario(tmp_path / "wide.scn", 300)
-        code, out, err = run_cli("check", path)
-        assert code == 2
-        assert out == ""
-        assert err == (f"{path}:257:5: semantic: model custom_permissions takes "
-                       "at most 255 apps\n")
-
-    def test_domain_of_exactly_256_values_is_checked(self, run_cli, tmp_path):
-        code, out, err = run_cli("check", self.many_apps_scenario(
-            tmp_path / "widest.scn", 255))
-        assert code == 3
-        assert "State limit reached after 10 distinct states" in out
-        assert err == ""
-
     def test_undeclared_request_warning_goes_to_stderr(self, run_cli, tmp_path):
         # One line per undeclared request: apps in file order, an app's
         # requests by name ascending.
@@ -162,7 +73,8 @@ class TestCheckCommand:
             for app, name in (("zed", "Zeta"), ("amy", "Ghost"), ("amy", "Hex")))
         assert "warning" not in out
 
-    def test_byte_order_mark_is_skipped(self, run_cli, scenarios_dir, tmp_path):
+    def test_byte_order_mark_is_skipped(self, run_cli, mask_elapsed, scenarios_dir,
+                                        tmp_path):
         # Editors on some platforms save UTF-8 with a leading BOM (U+FEFF).
         plain = scenarios_dir / "cs1.scn"
         marked = tmp_path / "cs1.scn"
@@ -176,18 +88,6 @@ class TestCheckCommand:
 
 
 class TestReplayFlag:
-    def test_replay_of_own_document_exits_zero(self, run_cli, scenarios_dir,
-                                               tmp_path):
-        code, out, _ = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
-                               "--format", "json")
-        assert code == 1
-        saved = tmp_path / "report.json"
-        saved.write_text(out)
-        code, out, err = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
-                                 "--replay", str(saved))
-        assert code == 0
-        assert "replay: valid" in out
-
     def test_replay_of_document_with_byte_order_mark(self, run_cli, scenarios_dir,
                                                      tmp_path):
         code, out, _ = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
@@ -197,8 +97,8 @@ class TestReplayFlag:
         saved.write_bytes(b"\xef\xbb\xbf" + out.encode("utf-8"))
         code, out, err = run_cli("check", str(scenarios_dir / "custom_vuln.scn"),
                                  "--replay", str(saved))
-        assert (code, err) == (0, "")
-        assert "replay: valid" in out
+        assert (code, out, err) == (
+            0, "replay: valid against model custom_permissions\n", "")
 
     def test_replay_of_tampered_document_exits_one(self, run_cli, scenarios_dir,
                                                    tmp_path):
@@ -210,26 +110,8 @@ class TestReplayFlag:
         saved.write_text(json.dumps(doc))
         code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
                                  "--replay", str(saved))
-        assert code == 1
-        assert "divergent at step 3" in out
-
-    def test_replay_of_pass_document_exits_two(self, run_cli, scenarios_dir,
-                                               tmp_path):
-        code, out, _ = run_cli("check", str(scenarios_dir / "custom_safe.scn"),
-                               "--format", "json")
-        assert code == 0
-        saved = tmp_path / "pass.json"
-        saved.write_text(out)
-        code, out, err = run_cli("check", str(scenarios_dir / "custom_safe.scn"),
-                                 "--replay", str(saved))
-        assert code == 2
-        assert "no trace" in err
-
-    def test_replay_of_missing_file_exits_two(self, run_cli, scenarios_dir,
-                                              tmp_path):
-        code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
-                                 "--replay", str(tmp_path / "nope.json"))
-        assert code == 2
+        assert (code, out, err) == (1, "replay: divergent at step 3: recorded state "
+                                       "differs from the action's successor\n", "")
 
     @pytest.mark.parametrize("document", ["[" * 200_000, "1" * 5_000],
                              ids=["nesting_too_deep", "integer_too_long"])
@@ -239,8 +121,11 @@ class TestReplayFlag:
         saved.write_text(document)
         code, out, err = run_cli("check", str(scenarios_dir / "cs1.scn"),
                                  "--replay", str(saved))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: report document is not valid JSON: ")
+        # The reason is the JSON reader's own, which differs across Python versions.
+        with pytest.raises((ValueError, RecursionError)) as reason:
+            json.loads(document)
+        assert (code, out, err) == (
+            2, "", f"error: report document is not valid JSON: {reason.value}\n")
 
 
 class TestListModels:
@@ -260,16 +145,15 @@ class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
-    def test_parser_is_not_built_at_import(self, checkout_env):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import apscheck.cli as c; "
-             "print(c._build_parser.cache_info().currsize)"],
-            capture_output=True, text=True, env=checkout_env)
+    def test_parser_is_not_built_at_import(self, run_python):
+        proc = run_python("-c", "import apscheck.cli as c; "
+                          "print(c._build_parser.cache_info().currsize)",
+                          capture_output=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
     @pytest.mark.parametrize("name", SHIPPED)
-    def test_options_do_not_leak_between_calls(self, run_cli, scenarios_dir,
-                                               name):
+    def test_options_do_not_leak_between_calls(self, run_cli, mask_elapsed,
+                                               scenarios_dir, name):
         flag_sets = [(), ("--stats-only",), ("--format", "json"),
                      ("--max-states", "7"), ("--stats-only", "--format", "json")]
         first = {}
@@ -329,10 +213,8 @@ class TestResourceErrors:
         monkeypatch.setattr(cli, target, exhausted)
         scenario, *flags = CALLS[target]
         code, out, err = run_cli("check", str(scenarios_dir / scenario), *flags)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: out of memory")
-        assert err.count("\n") == 1
+        assert (code, out, err) == (
+            3, "", "error: out of memory; try a smaller model or state limit\n")
 
     def test_nondeterministic_successors_exit_three(self, run_cli, scenarios_dir,
                                                     monkeypatch):
@@ -365,6 +247,8 @@ ERROR_LINES = {
         ["{tmp}/wide.scn", "--max-states", "0"], 2,
         "{tmp}/wide.scn:257:5: semantic: model custom_permissions takes at most "
         "255 apps"),
+    "max_states_zero": (
+        ["{scn}/cs1.scn", "--max-states", "0"], 2, "error: max_states must be at least 1"),
     "max_states_zero_replay": (
         ["{scn}/cs1.scn", "--max-states", "0", "--replay", "{tmp}/missing.json"], 2,
         "error: max_states must be at least 1"),
@@ -387,7 +271,8 @@ class TestErrorLines:
                                            monkeypatch, case):
         (tmp_path / "binary.scn").write_bytes(b"\xff\n")
         (tmp_path / "bad.scn").write_text("model nosuch\n")
-        TestCheckCommand.many_apps_scenario(tmp_path / "wide.scn", 256)
+        (tmp_path / "wide.scn").write_text("model custom_permissions\n" + "".join(
+            f"app z{i} {{ }}\n" for i in range(256)))
         (tmp_path / "pass.json").write_bytes(
             (ROOT / "tests" / "golden" / "custom_safe.json.out").read_bytes())
         if case == "model_integrity":
@@ -399,13 +284,12 @@ class TestErrorLines:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_invocation(self, scenarios_dir, checkout_env):
-        proc = subprocess.run(
-            [sys.executable, "-m", "apscheck", "check",
-             str(scenarios_dir / "cs1.scn")],
-            capture_output=True, text=True, env=checkout_env)
-        assert proc.returncode == 1
-        assert "ApsConsistent" in proc.stdout
+    def test_python_dash_m_invocation(self, run_python, mask_elapsed):
+        proc = run_python("-m", "apscheck", "check", "scenarios/cs1.scn",
+                          capture_output=True)
+        golden = (ROOT / "tests" / "golden" / "cs1.text.out").read_text(encoding="utf-8")
+        assert (proc.returncode, mask_elapsed(proc.stdout), proc.stderr) == (
+            1, mask_elapsed(golden), "")
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [
@@ -414,17 +298,14 @@ class TestModuleEntryPoint:
         ["check", "scenarios/custom_vuln.scn", "--replay", VULN_REPLAY],
         ["list-models"],
     ], ids=["pass_text", "violation_json", "replay", "list_models"])
-    def test_closed_stdout_exits_three_with_one_line(self, checkout_env, argv,
-                                                     unbuffered):
+    def test_closed_stdout_exits_three_with_one_line(self, run_python, argv, unbuffered):
         # Python ignores SIGPIPE, so a write to a pipe with no reader raises
         # BrokenPipeError, and a buffered write raises it on the flush.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "apscheck", *argv], cwd=ROOT, stdout=write_end,
-                stderr=subprocess.PIPE, text=True,
-                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+            proc = run_python("-m", "apscheck", *argv, stdout=write_end,
+                              stderr=subprocess.PIPE, env={"PYTHONUNBUFFERED": unbuffered})
         finally:
             os.close(write_end)
         assert proc.returncode == 3
@@ -438,24 +319,21 @@ class TestModuleEntryPoint:
         (["check", "scenarios/missing.scn"], 2, "error: cannot read scenarios/missing.scn: "
          "[Errno 2] No such file or directory: 'scenarios/missing.scn'"),
     ], ids=["pass_text", "list_models", "replay", "missing_scenario"])
-    def test_stdout_closed_at_start_exits_three_with_one_line(self, checkout_env, argv,
+    def test_stdout_closed_at_start_exits_three_with_one_line(self, run_python, argv,
                                                               code, line, unbuffered):
         # With fd 1 closed, as by `>&-`, Python starts with `sys.stdout` None.
-        proc = subprocess.run(
-            [sys.executable, "-m", "apscheck", *argv], cwd=ROOT,
-            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
-            env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+        proc = run_python("-m", "apscheck", *argv, preexec_fn=lambda: os.close(1),
+                          stderr=subprocess.PIPE, env={"PYTHONUNBUFFERED": unbuffered})
         assert (proc.returncode, proc.stderr) == (code, line + "\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_full_stdout_exits_three_with_one_line(self, checkout_env, unbuffered):
+    def test_full_stdout_exits_three_with_one_line(self, run_python, unbuffered):
         # A passing scenario, so that exit 1 would be a false violation.
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "apscheck", "check", "scenarios/custom_safe.scn"],
-                cwd=ROOT, stdout=full, stderr=subprocess.PIPE, text=True,
-                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+            proc = run_python("-m", "apscheck", "check", "scenarios/custom_safe.scn",
+                              stdout=full, stderr=subprocess.PIPE,
+                              env={"PYTHONUNBUFFERED": unbuffered})
         assert (proc.returncode, proc.stderr) == (
             3, "error: cannot write to stdout: [Errno 28] No space left on device\n")
 
@@ -463,13 +341,11 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]],
                              ids=["main", "check"])
-    def test_help_to_a_full_stdout_exits_three_with_one_line(self, checkout_env, argv,
+    def test_help_to_a_full_stdout_exits_three_with_one_line(self, run_python, argv,
                                                              unbuffered):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "apscheck", *argv], cwd=ROOT, stdout=full,
-                stderr=subprocess.PIPE, text=True,
-                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+            proc = run_python("-m", "apscheck", *argv, stdout=full, stderr=subprocess.PIPE,
+                              env={"PYTHONUNBUFFERED": unbuffered})
         assert (proc.returncode, proc.stderr) == (
             3, "error: cannot write to stdout: [Errno 28] No space left on device\n")
 
@@ -479,7 +355,7 @@ class TestModuleEntryPoint:
         ("warn.scn", 0, "No violations found (checked: escalation_free).\n"),
         ("missing.scn", 2, ""),
     ], ids=["advisory", "missing_scenario"])
-    def test_unwritable_stderr_keeps_the_exit_code(self, checkout_env, tmp_path, unbuffered,
+    def test_unwritable_stderr_keeps_the_exit_code(self, run_python, tmp_path, unbuffered,
                                                    stderr, scenario, code, report):
         if stderr == "dev_full" and not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")
@@ -491,10 +367,9 @@ class TestModuleEntryPoint:
         else:
             write_end = os.open("/dev/full", os.O_WRONLY)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "apscheck", "check", str(tmp_path / scenario)],
-                stdout=subprocess.PIPE, stderr=write_end, text=True,
-                env=dict(checkout_env, PYTHONUNBUFFERED=unbuffered))
+            proc = run_python("-m", "apscheck", "check", str(tmp_path / scenario),
+                              stdout=subprocess.PIPE, stderr=write_end,
+                              env={"PYTHONUNBUFFERED": unbuffered})
         finally:
             os.close(write_end)
         assert proc.returncode == code
@@ -502,10 +377,11 @@ class TestModuleEntryPoint:
 
     def test_interrupt_exits_three_with_a_partial_report(self, tmp_path,
                                                          checkout_env):
-        # aps_cs1 with 7 apps has about 750,000 states: the check is still
-        # running when the signal arrives.
+        # aps_cs1 with 8 apps has 5**8 + 8*6*5**7 = 4,140,625 states, over
+        # ten times what a check stores in the 2 s before the signal: it is
+        # still running when the signal arrives, even on a much faster host.
         scn = tmp_path / "long.scn"
-        scn.write_text("model aps_cs1\napps 7\ncheck ApsTypeOK\n")
+        scn.write_text("model aps_cs1\napps 8\ncheck ApsTypeOK\n")
         proc = subprocess.Popen(
             [sys.executable, "-m", "apscheck", "check", str(scn)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

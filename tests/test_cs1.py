@@ -114,10 +114,10 @@ class TestStateOperations:
 
 
 class TestPredicates:
-    def test_initial_state_is_type_correct(self):
-        for n in (1, 2, 3):
-            system, init = initial(n)
-            assert invariant(system, "ApsTypeOK")(init)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_initial_state_is_type_correct(self, n):
+        system, init = initial(n)
+        assert invariant(system, "ApsTypeOK")(init)
 
     def test_out_of_domain_value_never_reaches_type_check(self):
         # ApsTypeOK is constant because `check` refuses such a state before
@@ -227,17 +227,17 @@ class TestReachability:
         assert len(candidates) == 12
         assert candidates - reached == {(("",), ("DAN",), (0,))}
 
-    def test_at_most_one_app_ever_installed(self):
-        for apps in (1, 2, 3):
-            reached = oracles.reachable_set_fixpoint(oracles.cs1_initial(apps),
-                                                     oracles.cs1_successors)
-            assert all(sum(s[2]) <= 1 for s in reached)
+    @pytest.mark.parametrize("apps", [1, 2, 3])
+    def test_at_most_one_app_ever_installed(self, apps):
+        reached = oracles.reachable_set_fixpoint(oracles.cs1_initial(apps),
+                                                 oracles.cs1_successors)
+        assert all(sum(s[2]) <= 1 for s in reached)
 
-    def test_granted_never_holds_nor(self):
-        for apps in (1, 2):
-            reached = oracles.reachable_set_fixpoint(oracles.cs1_initial(apps),
-                                                     oracles.cs1_successors)
-            assert all(v in ("", "DAN") for s in reached for v in s[1])
+    @pytest.mark.parametrize("apps", [1, 2])
+    def test_granted_never_holds_nor(self, apps):
+        reached = oracles.reachable_set_fixpoint(oracles.cs1_initial(apps),
+                                                 oracles.cs1_successors)
+        assert all(v in ("", "DAN") for s in reached for v in s[1])
 
 
 class TestSystemPackaging:

@@ -20,35 +20,6 @@ VICTIM = AppSpec("victim", (PermissionDeclaration("P", "dangerous"),), ())
 SCENARIO = (MALWARE, VICTIM)
 
 
-def as_oracle(apps):
-    return [(a.id, tuple((d.name, d.level) for d in a.declares), a.requests)
-            for a in apps]
-
-
-class TestAppSpec:
-    def test_declares_and_requests_are_normalized_sorted(self):
-        app = AppSpec("x", (PermissionDeclaration("B", "normal"),
-                            PermissionDeclaration("A", "dangerous")), ("q", "p"))
-        assert [d.name for d in app.declares] == ["A", "B"]
-        assert app.requests == ("p", "q")
-
-    def test_duplicate_declaration_names_rejected(self):
-        with pytest.raises(ConfigurationError, match="more than once"):
-            AppSpec("x", (PermissionDeclaration("P", "normal"),
-                          PermissionDeclaration("P", "dangerous")))
-
-    def test_a_string_of_requests_is_rejected(self):
-        # Sorting its characters would request 'A', 'C', 'E', 'M' and 'R'.
-        with pytest.raises(ConfigurationError, match=(
-                "^app 'm': requests must be a tuple of names, "
-                "not the string 'CAMERA'$")):
-            AppSpec("m", (), "CAMERA")
-
-    def test_unknown_protection_level_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PermissionDeclaration("P", "medium")
-
-
 def step(system, state: bytes, action: str):
     """The successor via the rendered action, or None when it is disabled."""
     return next((t for lbl, t in system.successors(state) if lbl.render() == action),
@@ -165,7 +136,7 @@ class TestEscalationProperty:
         assert not escalation_free(system, s)
 
     def test_victim_first_subtree_is_entirely_safe(self):
-        apps = as_oracle(SCENARIO)
+        apps = oracles.oracle_apps(SCENARIO)
         root = None
         for label, target in oracles.custom_successors(oracles.custom_initial(), apps):
             if label == ("Install", "victim"):
@@ -208,7 +179,7 @@ class TestScenarioChecking:
         rendered = [s.label.render() for s in report.trace.steps[1:]]
         assert rendered == ["Install(malware)", "Request(malware, P)",
                             "Install(victim)"]
-        assert oracles.custom_shortest_violation(as_oracle(SCENARIO)) == 3
+        assert oracles.custom_shortest_violation(oracles.oracle_apps(SCENARIO)) == 3
 
     def test_verdict_survives_swapping_which_id_sorts_first(self):
         # Rename the attacker so the victim's install is enumerated first.
@@ -231,7 +202,7 @@ class TestScenarioChecking:
 
 
 def all_reachable_edges(apps):
-    oracle_apps = as_oracle(apps)
+    oracle_apps = oracles.oracle_apps(apps)
     succ = lambda s: oracles.custom_successors(s, oracle_apps)
     reached = oracles.reachable_set_fixpoint(oracles.custom_initial(), succ)
     for s in reached:
@@ -254,7 +225,7 @@ class TestModelInvariants:
                 assert levels == {"normal"}
 
     def test_registry_always_reflects_the_earliest_installed_definer(self):
-        apps = as_oracle(SCENARIO)
+        apps = oracles.oracle_apps(SCENARIO)
 
         def walk(state, install_seq):
             _, registry, _, _ = state
@@ -377,7 +348,7 @@ class TestSuccessorsMatchTheOracle:
     @staticmethod
     def assert_matches_oracle(apps, depth=None) -> list[bytes]:
         system = custom.build_system(apps)
-        oracle_apps = as_oracle(apps)
+        oracle_apps = oracles.oracle_apps(apps)
         states = reachable(system) if depth is None else oracles.states_within(system, depth)
         # Each distinct encoding is decoded once: states share most successors.
         views: dict[bytes, tuple] = {}

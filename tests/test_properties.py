@@ -33,11 +33,6 @@ def app_sets(draw) -> tuple[AppSpec, ...]:
     return tuple(apps)
 
 
-def oracle_apps(apps):
-    return [(a.id, tuple((d.name, d.level) for d in a.declares), a.requests)
-            for a in apps]
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(app_sets())
 def test_check_agrees_with_the_oracles(apps):
@@ -45,10 +40,10 @@ def test_check_agrees_with_the_oracles(apps):
     stats = check(system, CheckOptions(check_invariants=False))
     assert stats.verdict is Verdict.PASS
     assert ((stats.distinct_states, stats.transitions, stats.diameter)
-            == oracles.custom_stats(oracle_apps(apps)))
+            == oracles.custom_stats(oracles.oracle_apps(apps)))
 
     report = check(system)
-    shortest = oracles.custom_shortest_violation(oracle_apps(apps))
+    shortest = oracles.custom_shortest_violation(oracles.oracle_apps(apps))
     if shortest is None:
         assert report.verdict is Verdict.PASS
     else:

@@ -6,8 +6,6 @@ from __future__ import annotations
 import copy
 import inspect
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -119,9 +117,12 @@ def test_a_scenario_without_an_app_count_holds_none():
                            PermissionDeclaration("B", "normal"),
                            PermissionDeclaration("B", "dangerous"))),
      "app 'm' declares 'B' more than once"),
+    # Sorting its characters would request 'A', 'C', 'E', 'M' and 'R'.
+    (lambda: AppSpec("m", (), "CAMERA"),
+     "app 'm': requests must be a tuple of names, not the string 'CAMERA'"),
 ], ids=["repeated key", "repeated key not first", "repeated value", "257 values",
         "empty permission name", "unknown level", "duplicate declaration",
-        "duplicate declaration not first"])
+        "duplicate declaration not first", "requests as a string"])
 def test_construction_rules_keep_their_messages(build, message):
     with pytest.raises(ConfigurationError) as exc:
         build()
@@ -136,7 +137,7 @@ def test_app_spec_order_is_normalized():
     assert hash(app) == hash(AppSpec("x", (a, b), ("p", "q")))
 
 
-def test_only_the_transition_system_is_a_dataclass(checkout_env):
+def test_only_the_transition_system_is_a_dataclass(run_python):
     """Frozen dataclasses generate and compile code when their class is
     created; the CLI's import builds only the one the benchmark tracer
     rebuilds with `dataclasses.replace`."""
@@ -147,7 +148,6 @@ def test_only_the_transition_system_is_a_dataclass(checkout_env):
         "             for n, v in vars(mod).items() if isinstance(v, type)\n"
         "             and v.__module__ == m and '__dataclass_fields__' in vars(v)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=checkout_env)
+    proc = run_python("-c", script, capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "['apscheck.kernel.TransitionSystem']\n"

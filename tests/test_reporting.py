@@ -11,7 +11,7 @@ from apscheck.errors import ReplayDocumentError
 from apscheck.kernel import CheckOptions, Verdict, check, decode
 from apscheck.models import build_system, cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
-from apscheck.reporting import render_structured, render_text, replay
+from apscheck.reporting import ReplayResult, render_structured, render_text, replay
 from apscheck.scenario import parse_scenario
 
 SCENARIO = (
@@ -54,10 +54,9 @@ class TestTextRendering:
         assert "State 3: <Grant(a1)>" in text
         assert "State 4" not in text
 
-    def test_every_variable_prints_on_its_own_line_per_state(self, cs1_violation):
-        text = render_text(cs1_violation)
-        for var in ("askedPerms", "grantedPerms", "alreadyInstalled"):
-            assert text.count(f"  {var} = [") == 3
+    @pytest.mark.parametrize("var", ["askedPerms", "grantedPerms", "alreadyInstalled"])
+    def test_every_variable_prints_on_its_own_line_per_state(self, cs1_violation, var):
+        assert render_text(cs1_violation).count(f"  {var} = [") == 3
 
     def test_final_state_shows_the_offending_values(self, cs1_violation):
         text = render_text(cs1_violation)
@@ -151,138 +150,100 @@ class TestStructuredRendering:
         assert strip(first) == strip(second)
 
 
+UNDECODABLE = "state does not decode against the system's declarations"
+
+# id -> (the model whose violation report is replayed, an edit of its parsed
+# document, the whole replay result). The edited document is serialized
+# again, so each row also replays a JSON round trip.
+REPLAYS = {
+    "untouched cs1": ("cs1", lambda doc: None, ReplayResult(True)),
+    "untouched custom": ("custom", lambda doc: None, ReplayResult(True)),
+    "state value": (
+        "cs1", lambda doc: doc["trace"][1]["state"]["grantedPerms"].update(a1="DAN"),
+        ReplayResult(False, 2, "recorded state differs from the action's successor")),
+    "initial state": (
+        "cs1", lambda doc: doc["trace"][0]["state"]["alreadyInstalled"].update(a1=1),
+        ReplayResult(False, 1, "first state is not an initial state")),
+    "value outside its domain": (
+        "cs1", lambda doc: doc["trace"][2]["state"]["askedPerms"].update(a1="WILD"),
+        ReplayResult(False, 3, UNDECODABLE)),
+    "unknown action": (
+        "cs1", lambda doc: doc["trace"][2].update(action="Revoke"),
+        ReplayResult(False, 3, "action 'Revoke' with params {'r': 'a1'} is not "
+                               "enabled here")),
+    "final state satisfies the invariant": (
+        "cs1", lambda doc: doc["trace"].pop(),
+        ReplayResult(False, 2, "final state does not violate ApsConsistent")),
+    "undeclared variable": (
+        "custom", lambda doc: doc["trace"][-1]["state"].update(backdoor={"x": 1}),
+        ReplayResult(False, 4, UNDECODABLE)),
+    "undeclared key": (
+        "custom", lambda doc: doc["trace"][0]["state"]["installed"].update(ghost=1),
+        ReplayResult(False, 1, UNDECODABLE)),
+    # The final state has every app installed (1), and JSON `true` == 1.
+    "boolean for an integer": (
+        "custom", lambda doc: doc["trace"][-1]["state"].update(
+            installed={"malware": True, "victim": True}),
+        ReplayResult(False, 4, UNDECODABLE)),
+    "float for an integer": (
+        "custom", lambda doc: doc["trace"][0]["state"].update(
+            installed={"malware": 0.0, "victim": 0.0}),
+        ReplayResult(False, 1, UNDECODABLE)),
+    "action on the initial step": (
+        "custom", lambda doc: doc["trace"][0].update(action="Install"),
+        ReplayResult(False, 1, "initial step carries an action")),
+}
+
+# id -> (the document replayed, made from the cs1 violation report's parsed
+# document, the whole ReplayDocumentError message).
+DOCUMENT_ERRORS = {
+    "not JSON": (lambda doc: "{not json",
+                 "report document is not valid JSON: Expecting property name "
+                 "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "not an object": (lambda doc: "[1]", "report document carries no trace to replay"),
+    "no trace": (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "trace"}),
+                 "report document carries no trace to replay"),
+    "unknown invariant": (
+        lambda doc: json.dumps(dict(doc, violated_invariant="SomethingElse")),
+        "document names invariant 'SomethingElse', which the system does not expose"),
+    "empty trace": (lambda doc: json.dumps(dict(doc, trace=[])), "trace is empty"),
+    "trace not a list": (lambda doc: json.dumps(dict(doc, trace={})), "trace is empty"),
+}
+
+
 class TestReplay:
-    def test_fresh_document_replays_cleanly(self, cs1_violation, cs1_system):
-        result = replay(render_structured(cs1_violation), cs1_system)
-        assert result
-        assert result.divergent_step is None
+    @pytest.mark.parametrize("case", list(REPLAYS))
+    def test_an_edited_document_replays_to_its_result(self, request, case):
+        model, edit, result = REPLAYS[case]
+        doc = json.loads(render_structured(request.getfixturevalue(f"{model}_violation")))
+        edit(doc)
+        assert replay(json.dumps(doc), request.getfixturevalue(f"{model}_system")) == result
 
-    def test_custom_document_replays_cleanly(self, custom_violation, custom_system):
-        assert replay(render_structured(custom_violation), custom_system)
+    @pytest.mark.parametrize("case", list(DOCUMENT_ERRORS))
+    def test_a_document_that_cannot_be_replayed_is_a_document_error(
+            self, cs1_violation, cs1_system, case):
+        document, message = DOCUMENT_ERRORS[case]
+        with pytest.raises(ReplayDocumentError) as exc:
+            replay(document(json.loads(render_structured(cs1_violation))), cs1_system)
+        assert str(exc.value) == message
 
-    def test_tampered_state_value_is_caught_at_its_step(self, cs1_violation,
-                                                        cs1_system):
-        doc = json.loads(render_structured(cs1_violation))
-        doc["trace"][1]["state"]["grantedPerms"]["a1"] = "DAN"
-        result = replay(json.dumps(doc), cs1_system)
-        assert not result
-        assert result.divergent_step == 2
-
-    def test_tampered_initial_state_is_caught_at_step_one(self, cs1_violation,
-                                                          cs1_system):
-        doc = json.loads(render_structured(cs1_violation))
-        doc["trace"][0]["state"]["alreadyInstalled"]["a1"] = 1
-        result = replay(json.dumps(doc), cs1_system)
-        assert not result
-        assert result.divergent_step == 1
-
-    def test_out_of_domain_tamper_is_caught_not_crashed(self, cs1_violation,
-                                                        cs1_system):
-        doc = json.loads(render_structured(cs1_violation))
-        doc["trace"][2]["state"]["askedPerms"]["a1"] = "WILD"
-        result = replay(json.dumps(doc), cs1_system)
-        assert not result
-        assert result.divergent_step == 3
-
-    def test_unknown_action_is_a_divergence(self, cs1_violation, cs1_system):
-        doc = json.loads(render_structured(cs1_violation))
-        doc["trace"][2]["action"] = "Revoke"
-        result = replay(json.dumps(doc), cs1_system)
-        assert not result
-        assert result.divergent_step == 3
-
-    def test_non_violating_final_state_is_a_divergence(self, cs1_system):
-        report = check(cs1_system)
-        doc = json.loads(render_structured(report))
-        del doc["trace"][-1]  # now ends on a state satisfying the invariant
-        result = replay(json.dumps(doc), cs1_system)
-        assert not result
-        assert result.divergent_step == 2
-
-    def test_violation_of_a_repeated_name_replays(self, cs1_system):
+    @pytest.mark.parametrize("restrict", [False, True], ids=["all", "with_invariants"])
+    def test_violation_of_a_repeated_name_replays(self, cs1_system, restrict):
         # `check` names the first failing predicate; replay must accept the
         # final state when any predicate under that name fails.
         system = replace(cs1_system, invariants=(("a", lambda s: True),
                                                  ("a", lambda s: False)))
-        for restricted in (system, system.with_invariants(["a"])):
-            report = check(restricted)
-            assert report.violated_invariant == "a"
-            assert replay(render_structured(report), restricted)
-
-    def test_pass_document_is_a_document_error(self, pass_report, cs1_system):
-        with pytest.raises(ReplayDocumentError, match="no trace"):
-            replay(render_structured(pass_report), cs1_system)
-
-    def test_malformed_json_is_a_document_error(self, cs1_system):
-        with pytest.raises(ReplayDocumentError, match="JSON"):
-            replay("{not json", cs1_system)
-
-    @pytest.mark.parametrize("steps", [[], {}], ids=["empty list", "object"])
-    def test_empty_or_non_list_trace_is_a_document_error(self, cs1_violation, cs1_system,
-                                                         steps):
-        doc = json.loads(render_structured(cs1_violation))
-        doc["trace"] = steps
-        with pytest.raises(ReplayDocumentError, match="^trace is empty$"):
-            replay(json.dumps(doc), cs1_system)
-
-    def test_unknown_invariant_is_a_document_error(self, cs1_violation, cs1_system):
-        doc = json.loads(render_structured(cs1_violation))
-        doc["violated_invariant"] = "SomethingElse"
-        with pytest.raises(ReplayDocumentError):
-            replay(json.dumps(doc), cs1_system)
-
-    def test_undeclared_variable_is_caught_at_its_step(self, custom_violation,
-                                                       custom_system):
-        doc = json.loads(render_structured(custom_violation))
-        doc["trace"][-1]["state"]["backdoor"] = {"x": 1}
-        result = replay(json.dumps(doc), custom_system)
-        assert not result
-        assert result.divergent_step == len(doc["trace"])
-        assert result.reason.startswith("state does not decode")
-
-    def test_undeclared_key_is_caught_at_its_step(self, custom_violation,
-                                                  custom_system):
-        doc = json.loads(render_structured(custom_violation))
-        doc["trace"][0]["state"]["installed"]["ghost"] = 1
-        result = replay(json.dumps(doc), custom_system)
-        assert not result
-        assert result.divergent_step == 1
-        assert result.reason.startswith("state does not decode")
+        if restrict:
+            system = system.with_invariants(["a"])
+        report = check(system)
+        assert report.violated_invariant == "a"
+        assert replay(render_structured(report), system)
 
     @pytest.mark.parametrize("name", ["cs1.scn", "custom_vuln.scn"])
     def test_shipped_violation_reports_replay_cleanly(self, scenarios_dir, name):
         system = build_system(parse_scenario(
             (scenarios_dir / name).read_text(encoding="utf-8")))
         assert replay(render_structured(check(system)), system)
-
-    @staticmethod
-    def retyped(report, step: int, var: str, cast) -> str:
-        doc = json.loads(render_structured(report))
-        values = doc["trace"][step]["state"][var]
-        for key in values:
-            values[key] = cast(values[key])
-        return json.dumps(doc)
-
-    def test_boolean_for_an_integer_value_is_caught(self, custom_violation,
-                                                    custom_system):
-        # The final state has every app installed (1); JSON `true` == 1.
-        document = self.retyped(custom_violation, -1, "installed", bool)
-        assert '"installed": {"malware": true, "victim": true}' in document
-        result = replay(document, custom_system)
-        assert not result
-        assert result.divergent_step == len(custom_violation.trace.steps)
-        assert result.reason == ("state does not decode against the system's "
-                                 "declarations")
-
-    def test_float_for_an_integer_value_is_caught(self, custom_violation,
-                                                  custom_system):
-        document = self.retyped(custom_violation, 0, "installed", float)
-        assert '"installed": {"malware": 0.0, "victim": 0.0}' in document
-        result = replay(document, custom_system)
-        assert not result
-        assert result.divergent_step == 1
-        assert result.reason == ("state does not decode against the system's "
-                                 "declarations")
 
     def test_boolean_in_cs1_installed_flag_is_caught(self, cs1_system):
         # The shortest trace never installs; this longer one does, so its
@@ -301,23 +262,5 @@ class TestReplay:
         assert replay(json.dumps(doc), cs1_system)
         assert steps[-1]["state"]["alreadyInstalled"] == {"a1": 1}
         steps[-1]["state"]["alreadyInstalled"]["a1"] = True
-        result = replay(json.dumps(doc), cs1_system)
-        assert not result
-        assert result.divergent_step == 4
-        assert result.reason == ("state does not decode against the system's "
-                                 "declarations")
+        assert replay(json.dumps(doc), cs1_system) == ReplayResult(False, 4, UNDECODABLE)
 
-    def test_action_on_the_initial_step_is_a_divergence(self, custom_violation,
-                                                        custom_system):
-        doc = json.loads(render_structured(custom_violation))
-        doc["trace"][0]["action"] = "Install"
-        result = replay(json.dumps(doc), custom_system)
-        assert not result
-        assert result.divergent_step == 1
-        assert result.reason == "initial step carries an action"
-
-    def test_document_survives_a_json_round_trip(self, custom_violation,
-                                                 custom_system):
-        # Loss-free: re-serializing the parsed document still replays.
-        doc = json.loads(render_structured(custom_violation))
-        assert replay(json.dumps(doc), custom_system)

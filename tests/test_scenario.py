@@ -4,7 +4,6 @@ totality on arbitrary input."""
 from __future__ import annotations
 
 import random
-import re
 import string
 
 import pytest
@@ -82,92 +81,6 @@ class TestParsing:
 
 
 class TestParseErrors:
-    def test_unknown_model_reports_line_one(self):
-        err = parse_error("model nosuch")
-        assert (err.line, err.kind) == (1, "semantic")
-        assert "nosuch" in err.message
-
-    def test_unknown_directive_is_syntactic(self):
-        err = parse_error("model aps_cs1\napps 1\nfrobnicate 3\n")
-        assert (err.line, err.kind) == (3, "syntax")
-
-    def test_unexpected_character(self):
-        err = parse_error("model aps_cs1\napps 1\n$$$\n")
-        assert (err.line, err.column, err.kind) == (3, 1, "syntax")
-
-    def test_missing_model_directive(self):
-        err = parse_error("apps 1\n")
-        assert err.kind == "semantic"
-        assert "model" in err.message
-
-    def test_missing_apps_for_cs1(self):
-        err = parse_error("model aps_cs1\ncheck ApsTypeOK\n")
-        assert "apps" in err.message
-
-    def test_zero_apps_rejected(self):
-        err = parse_error("model aps_cs1\napps 0\n")
-        assert err.line == 2
-
-    def test_zero_max_states_rejected(self):
-        err = parse_error("model aps_cs1\napps 1\nmax_states 0\n")
-        assert err.line == 3
-
-    def test_unknown_invariant_names_the_model(self):
-        err = parse_error("model aps_cs1\napps 1\ncheck Nonexistent\n")
-        assert err.line == 3
-        assert "Nonexistent" in err.message
-
-    def test_apps_directive_invalid_for_custom_model(self):
-        err = parse_error("model custom_permissions\napps 2\n"
-                          "app m { declare P level normal }\n")
-        assert err.line == 2
-
-    def test_app_block_invalid_for_cs1(self):
-        err = parse_error("model aps_cs1\napps 1\napp m { }\n")
-        assert err.line == 3
-
-    def test_custom_model_requires_an_app(self):
-        err = parse_error("model custom_permissions\ncheck escalation_free\n")
-        assert "app" in err.message
-
-    def test_duplicate_app_id(self):
-        err = parse_error("model custom_permissions\n"
-                          "app m { declare P level normal }\n"
-                          "app m { declare Q level normal }\n")
-        assert err.line == 3
-
-    def test_duplicate_declaration_in_one_app(self):
-        err = parse_error("model custom_permissions\n"
-                          "app m {\n"
-                          "  declare P level normal\n"
-                          "  declare P level dangerous\n"
-                          "}\n")
-        assert err.line == 4
-
-    def test_unknown_protection_level(self):
-        err = parse_error("model custom_permissions\n"
-                          "app m { declare P level medium }\n")
-        assert (err.line, err.kind) == (2, "semantic")
-        assert "medium" in err.message
-
-    def test_unterminated_app_block(self):
-        err = parse_error("model custom_permissions\napp m { declare P level normal\n")
-        assert err.kind == "syntax"
-
-    def test_duplicate_directives(self):
-        assert parse_error("model aps_cs1\nmodel aps_cs1\napps 1\n").line == 2
-        assert parse_error("model aps_cs1\napps 1\napps 2\n").line == 3
-        assert parse_error("model aps_cs1\napps 1\nmax_states 5\n"
-                           "max_states 6\n").line == 4
-
-    def test_integer_where_identifier_expected(self):
-        err = parse_error("model 42\n")
-        assert (err.line, err.kind) == (1, "syntax")
-
-    def test_truncated_directive_at_end_of_input(self):
-        err = parse_error("model aps_cs1\napps")
-        assert (err.line, err.column, err.kind) == (2, 5, "syntax")
-
     @pytest.mark.parametrize("source,report", [
         ("model\t$", "1:7: syntax: unexpected character '$'"),
         ("model aps_cs1\r\n$", "2:1: syntax: unexpected character '$'"),
@@ -198,6 +111,7 @@ class TestParseErrors:
          "2:9: syntax: expected 'declare', 'request' or '}', found 'grant'"),
         ("model custom_permissions\napp m { 5 }",
          "2:9: syntax: expected 'declare', 'request' or '}', found '5'"),
+        ("model 42\n", "1:7: syntax: expected a model name, found '42'"),
     ], ids=["tab is blank", "CR is blank", "vertical tab is not blank",
             "identifiers are ASCII", "lexical error wins", "malformed integer read first",
             "unknown directive read first", "duplicate before malformed integer",
@@ -205,7 +119,7 @@ class TestParseErrors:
             "end of input after a keyword", "empty source", "only a comment",
             "end of input before a comment", "end of input for an app id",
             "end of input in an app block", "end of input for an invariant name",
-            "word in an app block", "number in an app block"])
+            "word in an app block", "number in an app block", "number for a model name"])
     def test_lexical_rules_and_which_error_wins(self, source, report):
         assert str(parse_error(source)) == report
 
@@ -214,6 +128,8 @@ class TestParseErrors:
         ("model zzz\n", "1:7: semantic: unknown model 'zzz'"),
         ("model aps_cs1\napps 1\nmodel aps_cs1\n",
          "3:7: semantic: duplicate 'model' directive"),
+        ("model aps_cs1\napps 1\nmax_states 5\nmax_states 6\n",
+         "4:12: semantic: duplicate 'max_states' directive"),
         ("model aps_cs1\ncheck ApsTypeOK\n",
          "1:7: semantic: model aps_cs1 requires an 'apps' directive"),
         ("model aps_cs1\napps 0\n", "2:6: semantic: app count must be at least 1"),
@@ -251,7 +167,8 @@ class TestParseErrors:
          "6:7: semantic: unknown model 'zzz'"),
         ("apps 0\napp m { }\napp m { }\ncheck Nope\nmax_states 0\n",
          "1:1: semantic: missing 'model' directive"),
-    ], ids=["missing model", "unknown model", "duplicate directive", "cs1 without apps",
+    ], ids=["missing model", "unknown model", "duplicate directive",
+            "duplicate max_states directive", "cs1 without apps",
             "cs1 with apps 0", "cs1 over the slot budget", "cs1 with an app block", "custom with apps",
             "custom without an app block", "duplicate app id", "name declared twice",
             "unknown protection level", "unknown invariant", "max_states 0",
@@ -384,31 +301,31 @@ class TestDirectDefinitions:
     @pytest.mark.parametrize("definition,problem", [
         (ScenarioDef(model_name="zzz"), "unknown model 'zzz'"),
         (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)),
-         "^model aps_cs1 requires an 'apps' directive$"),
+         "model aps_cs1 requires an 'apps' directive"),
         (ScenarioDef(model_name="aps_cs1", apps=0,
-                     check_list=("ApsTypeOK",)), "^app count must be at least 1$"),
+                     check_list=("ApsTypeOK",)), "app count must be at least 1"),
         (ScenarioDef(model_name="aps_cs1", apps=OVER_BUDGET, check_list=("ApsTypeOK",)),
-         "^app count must be at most 21845$"),
-        (ScenarioDef(model_name="custom_permissions",
-                     check_list=("escalation_free",)), "at least one app"),
+         "app count must be at most 21845"),
+        (ScenarioDef(model_name="custom_permissions", check_list=("escalation_free",)),
+         "model custom_permissions requires at least one app block"),
         (ScenarioDef(model_name="custom_permissions",
                      app_specs=(AppSpec("m"), AppSpec("m")),
-                     check_list=("escalation_free",)), "^duplicate app id 'm'$"),
+                     check_list=("escalation_free",)), "duplicate app id 'm'"),
         (ScenarioDef(model_name="aps_cs1", apps=1, check_list=("Nope",)),
-         "no invariant named 'Nope'"),
+         "model aps_cs1 has no invariant named 'Nope'"),
         (ScenarioDef(model_name="aps_cs1", apps=1,
                      check_list=("ApsTypeOK",), max_states=0),
          "max_states must be at least 1"),
         (ScenarioDef("aps_cs1", 1, (AppSpec("m"),), ("ApsTypeOK",)),
-         "^app blocks are not valid for model aps_cs1$"),
+         "app blocks are not valid for model aps_cs1"),
         (ScenarioDef("custom_permissions", 3, (AppSpec("m"),),
                      ("escalation_free",)),
-         "^'apps' is not valid for model custom_permissions$"),
+         "'apps' is not valid for model custom_permissions"),
         *((ScenarioDef("aps_cs1", apps, (), ("ApsTypeOK",)),
-           f"^aps_cs1 needs an integer app count, not {re.escape(repr(apps))}$")
+           f"aps_cs1 needs an integer app count, not {apps!r}")
           for apps in (True, 2.5, "3")),
         *((ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), limit),
-           f"^max_states must be an integer, not {re.escape(repr(limit))}$")
+           f"max_states must be an integer, not {limit!r}")
           for limit in (True, 2.5, "5")),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
             "cs1 over the slot budget",
@@ -417,34 +334,30 @@ class TestDirectDefinitions:
             "apps True", "apps 2.5", "apps '3'",
             "max_states True", "max_states 2.5", "max_states '5'"])
     def test_rejected_when_built_or_checked(self, definition, problem):
-        with pytest.raises(ConfigurationError, match=problem):
+        with pytest.raises(ConfigurationError) as exc:
             check(build_system(definition),
                   CheckOptions(max_states=definition.max_states))
+        assert str(exc.value) == problem
 
     # Each of these renders to text that does not parse, or that parses as
     # a different definition, so building it must fail.
     @pytest.mark.parametrize("definition,problem", [
         (ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), 2.5),
-         "^max_states must be an integer, not 2.5$"),
-        (ScenarioDef("custom_permissions", None, (AppSpec("my app"),),
-                     ("escalation_free",)),
-         "^" + re.escape("app 'my app': 'my app' is not an identifier (a letter "
-                         "or '_', then letters, digits, '_' or '.')") + "$"),
-        (ScenarioDef("custom_permissions", None,
-                     (AppSpec("m", (PermissionDeclaration("1P", "normal"),)),),
-                     ("escalation_free",)),
-         "^app 'm': '1P' is not an identifier"),
-        (ScenarioDef("custom_permissions", None,
-                     (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
-                     ("escalation_free",)),
-         "^app 'm': 'P#x' is not an identifier"),
-        (ScenarioDef("aps_cs1", 1),
-         "^check_list must name at least one invariant$"),
+         "max_states must be an integer, not 2.5"),
+        *((ScenarioDef("custom_permissions", None, (app,), ("escalation_free",)),
+           f"app {app.id!r}: {name!r} is not an identifier (a letter or '_', then "
+           "letters, digits, '_' or '.')")
+          for app, name in ((AppSpec("my app"), "my app"),
+                            (AppSpec("m", (PermissionDeclaration("1P", "normal"),)), "1P"),
+                            (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),
+                             "P#x"))),
+        (ScenarioDef("aps_cs1", 1), "check_list must name at least one invariant"),
     ], ids=["max_states 2.5", "app id with a blank", "name with a leading digit",
             "name with a comment", "no invariants"])
     def test_rejected_when_built(self, definition, problem):
-        with pytest.raises(ConfigurationError, match=problem):
+        with pytest.raises(ConfigurationError) as exc:
             build_system(definition)
+        assert str(exc.value) == problem
 
     @pytest.mark.parametrize("definition,field", [
         (ScenarioDef(model_name="zzz"), ()),
@@ -492,11 +405,12 @@ class TestDirectDefinitions:
             "max_states True", "max_states 2.5", "max_states '5'",
             "app id with a blank", "name with a leading digit", "name with a comment",
             "no invariants", "second invariant unknown", "custom over 255 apps"])
-    def test_the_error_names_the_field_at_fault(self, definition, field):
-        for build in (validate, build_system):
-            with pytest.raises(ConfigurationError) as exc:
-                build(definition)
-            assert exc.value.field == field
+    @pytest.mark.parametrize("build", [validate, build_system],
+                             ids=["validate", "build_system"])
+    def test_the_error_names_the_field_at_fault(self, definition, field, build):
+        with pytest.raises(ConfigurationError) as exc:
+            build(definition)
+        assert exc.value.field == field
 
     def test_a_state_limit_rejected_by_check_names_its_field(self):
         system = build_system(ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",)))
