@@ -252,10 +252,6 @@ class Trace(Record):
         # Number of labeled steps, i.e. actions taken.
         return len(self.steps) - 1
 
-    @property
-    def final_state(self) -> bytes:
-        return self.steps[-1].state
-
 
 class Verdict(Enum):
     PASS = "pass"

@@ -10,6 +10,7 @@ and is the reference for how the kernel finds a trace's parents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 PERM_LEVELS = ("", "NOR", "DAN")
@@ -159,14 +160,28 @@ def forward_parent_check(system, max_states=1_000_000, check_invariants=True):
     return result("pass")
 
 
-def cs1_stats(n):
-    """(distinct states, transition edges, diameter) for the n-app machine."""
-    reached = reachable_set_fixpoint(cs1_initial(n), cs1_successors)
-    assert reached <= set(cs1_all_type_correct(n))
-    edges = sum(len(cs1_successors(s)) for s in reached)
-    levels = reachable_levels(cs1_initial(n), cs1_successors)
+def reach_stats(initial, successors):
+    """(distinct states, transition edges, diameter) from `initial`. The
+    fixpoint and the level walk must reach the same set; the relation is
+    memoized for this call, so each state is expanded once."""
+    successors = functools.cache(successors)
+    reached = reachable_set_fixpoint(initial, successors)
+    levels = reachable_levels(initial, successors)
     assert set().union(*levels) == reached
+    edges = sum(len(successors(s)) for s in reached)
     return len(reached), edges, len(levels) - 1
+
+
+def cs1_stats(n):
+    """`reach_stats` of the n-app machine, whose reachable states must all
+    be type-correct."""
+    type_correct = set(cs1_all_type_correct(n))
+
+    def successors(state):
+        assert state in type_correct
+        return cs1_successors(state)
+
+    return reach_stats(cs1_initial(n), successors)
 
 
 def shortest_violation(initial, successors, violated):
@@ -265,11 +280,7 @@ def custom_escalation(state, apps):
 
 
 def custom_stats(apps):
-    succ = lambda s: custom_successors(s, apps)
-    reached = reachable_set_fixpoint(custom_initial(), succ)
-    edges = sum(len(succ(s)) for s in reached)
-    levels = reachable_levels(custom_initial(), succ)
-    return len(reached), edges, len(levels) - 1
+    return reach_stats(custom_initial(), lambda s: custom_successors(s, apps))
 
 
 def custom_shortest_violation(apps):

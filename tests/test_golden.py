@@ -1,8 +1,10 @@
-"""Recorded CLI reports: stdout and exit codes must stay byte-identical.
+"""Recorded reports: stdout and exit codes must stay byte-identical.
 
 Each case runs `apscheck check` in-process and compares its stdout with
 `tests/golden/<case>.out`, the `elapsed` text and `elapsed_ms` field
-masked on both sides. Replay cases replay a recorded JSON report.
+masked on both sides. Replay cases replay a recorded JSON report. Each
+other case is also rendered through the library calls the CLI makes, so
+the same file pins `render_text` and `render_structured`.
 After an intended change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -15,6 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from apscheck import (CheckOptions, build_system, check, parse_scenario,
+                      render_structured, render_text)
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -22,6 +27,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # to a temporary file.
 SOURCES = {
     "cs1_apps4": "model aps_cs1\napps 4\ncheck ApsConsistent\n",
+    "cs1_typeok": "model aps_cs1\napps 1\ncheck ApsTypeOK\n",
     # Three apps; with `--max-states 13` the limit stops the sixth
     # expansion at its second of seven successors, so the reports pin the
     # transitions counted up to that point.
@@ -57,6 +63,8 @@ CASES = {
     "custom_limit.text": ("custom_limit", ("--max-states", "13"), 3),
     "custom_limit.json": ("custom_limit", ("--max-states", "13", "--format", "json"), 3),
     "custom_255.text": ("custom_255", (), 3),
+    "cs1_typeok.text": ("cs1_typeok", (), 0),
+    "cs1_typeok.json": ("cs1_typeok", ("--format", "json"), 0),
 }
 
 
@@ -82,6 +90,20 @@ def test_report_matches_golden(case, run_cli, mask_elapsed, tmp_path):
     golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert (code, err) == (CASES[case][2], "")
     assert mask_elapsed(out) == mask_elapsed(golden)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if "--replay" not in CASES[c][1]))
+def test_library_report_matches_golden(case, mask_elapsed):
+    name, extra, _ = CASES[case]
+    scenario = parse_scenario(SOURCES.get(name)
+                              or (SCENARIOS / name).read_text(encoding="utf-8"))
+    max_states = (int(extra[extra.index("--max-states") + 1])
+                  if "--max-states" in extra else scenario.max_states)
+    report = check(build_system(scenario), CheckOptions(
+        max_states=max_states, check_invariants="--stats-only" not in extra))
+    render = render_structured if "json" in extra else render_text
+    golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert mask_elapsed(render(report)) == mask_elapsed(golden)
 
 
 if __name__ == "__main__":

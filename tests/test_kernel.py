@@ -202,7 +202,7 @@ class TestCheck:
         trace = check(system).trace
         safe = lambda st: decode(system.variables, st)["node"]["v"] != "bad"
         assert all(safe(step.state) for step in trace.steps[:-1])
-        assert not safe(trace.final_state)
+        assert not safe(trace.steps[-1].state)
 
     def test_limit_exceeded_reports_partial_statistics(self):
         edges = {"a": [("l", "b"), ("r", "c")], "b": [("m", "d")]}

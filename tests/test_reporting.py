@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from apscheck.errors import ReplayDocumentError
-from apscheck.kernel import CheckOptions, Verdict, check, decode
+from apscheck.kernel import Verdict, check, decode
 from apscheck.models import build_system, cs1, custom
 from apscheck.models.custom import AppSpec, PermissionDeclaration
 from apscheck.reporting import ReplayResult, render_structured, render_text, replay
@@ -40,43 +40,10 @@ def custom_violation(custom_system):
     return check(custom_system)
 
 
-@pytest.fixture(scope="module")
-def pass_report(cs1_system):
-    return check(cs1_system.with_invariants(["ApsTypeOK"]))
-
-
+# Every report a golden case can hold is pinned whole by `tests/test_golden.py`,
+# through the CLI and through these renderers; these two tests pin what no
+# golden file can: an interrupt, and `elapsed` unmasked.
 class TestTextRendering:
-    def test_violation_lists_numbered_states_with_labels(self, cs1_violation):
-        text = render_text(cs1_violation)
-        assert "Error: invariant ApsConsistent is violated." in text
-        assert "State 1: <Initial predicate>" in text
-        assert "State 2: <Ask(a1, NOR)>" in text
-        assert "State 3: <Grant(a1)>" in text
-        assert "State 4" not in text
-
-    @pytest.mark.parametrize("var", ["askedPerms", "grantedPerms", "alreadyInstalled"])
-    def test_every_variable_prints_on_its_own_line_per_state(self, cs1_violation, var):
-        assert render_text(cs1_violation).count(f"  {var} = [") == 3
-
-    def test_final_state_shows_the_offending_values(self, cs1_violation):
-        text = render_text(cs1_violation)
-        final_block = text.split("State 3")[1]
-        assert 'askedPerms = [a1 |-> "NOR"]' in final_block
-        assert 'grantedPerms = [a1 |-> "DAN"]' in final_block
-
-    def test_pass_report_has_no_state_listing(self, pass_report):
-        text = render_text(pass_report)
-        assert "State 1" not in text
-        assert "No violations found (checked: ApsTypeOK)." in text
-        assert "distinct states: 11" in text
-        assert "diameter: 3" in text
-
-    def test_limit_report_is_flagged_partial(self, cs1_system):
-        report = check(cs1_system.with_invariants(["ApsTypeOK"]),
-                       CheckOptions(max_states=4))
-        assert report.verdict is Verdict.LIMIT_EXCEEDED
-        assert "partial" in render_text(report)
-
     def test_interrupted_report_is_flagged_partial(self, cs1_system):
         calls = 0
 
@@ -94,60 +61,11 @@ class TestTextRendering:
                                "below are partial.\n\nStatistics:\n")
         assert json.loads(render_structured(report))["verdict"] == "interrupted"
 
-    def test_stats_only_report_says_so(self, cs1_system):
-        report = check(cs1_system, CheckOptions(check_invariants=False))
-        assert "no invariants checked" in render_text(report)
-
-    def test_rendering_is_deterministic(self, custom_violation):
-        assert render_text(custom_violation) == render_text(custom_violation)
-
 
 class TestStructuredRendering:
-    def test_pass_document_has_no_trace_key(self, pass_report):
-        doc = json.loads(render_structured(pass_report))
-        assert doc["verdict"] == "pass"
-        assert "trace" not in doc
-        assert "violated_invariant" not in doc
-        assert doc["stats"] == {"distinct_states": 11, "transitions": 35,
-                                "diameter": 3}
-        assert isinstance(doc["elapsed_ms"], float)
-
-    def test_elapsed_is_rendered_in_milliseconds_to_three_places(self, pass_report):
-        text = render_structured(pass_report._replace(elapsed=0.0123456))
+    def test_elapsed_is_rendered_in_milliseconds_to_three_places(self, cs1_violation):
+        text = render_structured(cs1_violation._replace(elapsed=0.0123456))
         assert text.endswith('\n  "elapsed_ms": 12.346\n}\n')
-
-    def test_violation_trace_array_length_counts_states(self, cs1_violation):
-        doc = json.loads(render_structured(cs1_violation))
-        assert doc["verdict"] == "violation"
-        assert doc["violated_invariant"] == "ApsConsistent"
-        assert len(doc["trace"]) == 3
-        assert [e["step"] for e in doc["trace"]] == [1, 2, 3]
-
-    def test_initial_step_has_null_action_and_empty_params(self, cs1_violation):
-        doc = json.loads(render_structured(cs1_violation))
-        first = doc["trace"][0]
-        assert first["action"] is None
-        assert first["params"] == {}
-        assert first["state"]["askedPerms"] == {"a1": ""}
-
-    def test_labeled_steps_carry_action_and_params(self, custom_violation):
-        doc = json.loads(render_structured(custom_violation))
-        actions = [(e["action"], e["params"]) for e in doc["trace"][1:]]
-        assert actions == [
-            ("Install", {"a": "malware"}),
-            ("Request", {"a": "malware", "n": "P"}),
-            ("Install", {"a": "victim"}),
-        ]
-
-    def test_key_order_is_stable_across_renders(self, custom_violation):
-        assert render_structured(custom_violation) == render_structured(custom_violation)
-
-    def test_key_order_is_stable_across_system_rebuilds(self):
-        first = render_structured(check(custom.build_system(SCENARIO)))
-        second = render_structured(check(custom.build_system(SCENARIO)))
-        strip = lambda text: "\n".join(l for l in text.splitlines()
-                                       if "elapsed_ms" not in l)
-        assert strip(first) == strip(second)
 
 
 UNDECODABLE = "state does not decode against the system's declarations"
