@@ -56,11 +56,11 @@ def get_model(name: str) -> ModelInfo:
 
 def validate(scenario) -> ModelInfo:
     """Check a scenario definition against every rule it must meet, without
-    building its system, and return its model's entry. The first broken
-    rule raises :class:`ConfigurationError`, whose `field` is the path of
-    the field at fault. Every field must be one that scenario text can
-    state, so a definition that validates renders to text that parses back
-    equal."""
+    building its system, and return its model's entry; `ScenarioDef` calls
+    it as it is made. The first broken rule raises :class:`ConfigurationError`,
+    whose `field` is the path of the field at fault. Every field must be one
+    that scenario text can state, so a definition that validates renders to
+    text that parses back equal."""
     info = get_model(scenario.model_name)
     if scenario.apps is not None and "apps" not in info.params:
         raise ConfigurationError(f"'apps' is not valid for model {info.name}", ("apps",))
@@ -92,6 +92,7 @@ def validate(scenario) -> ModelInfo:
 
 
 def build_system(scenario) -> TransitionSystem:
-    """Validate the scenario, instantiate its model and restrict it to the
-    invariants the scenario asks to check, in the scenario's order."""
-    return validate(scenario).build(scenario).with_invariants(scenario.check_list)
+    """Instantiate the model of a `ScenarioDef`, which was validated when it
+    was made, restricted to the invariants it checks, in their order."""
+    return get_model(scenario.model_name).build(scenario).with_invariants(
+        scenario.check_list)

@@ -62,10 +62,10 @@ class ScenarioError(CheckerError):
 
 
 class ScenarioDef(Record):
-    """A parsed scenario: which model to build and what to check on it.
-
-    `apps` is the app count of `aps_cs1`, or `None` where the text has no
-    `apps` line; `app_specs` and `check_list` are kept as tuples."""
+    """A scenario: which model to build and what to check on it. `apps` is
+    the app count of `aps_cs1`, or `None` where the text has no `apps` line;
+    `app_specs` and `check_list` are kept as tuples. The constructor ends
+    with :func:`apscheck.models.validate`, and raises its error."""
 
     __slots__ = ("model_name", "apps", "app_specs", "check_list", "max_states")
 
@@ -74,6 +74,7 @@ class ScenarioDef(Record):
                  max_states: int = DEFAULT_MAX_STATES):
         super().__init__(model_name, apps, tuple(app_specs), tuple(check_list),
                          max_states)
+        validate(self)
 
 
 class _Token(NamedTuple):
@@ -113,8 +114,9 @@ def _expect(tokens: Iterator[_Token], kind: str, what: str,
 
 def parse_scenario(source: str) -> ScenarioDef:
     """Parse scenario text, raising :class:`ScenarioError` at the first
-    syntactic or semantic defect. Total: any input string either yields a
-    ScenarioDef or raises ScenarioError, never anything else."""
+    syntactic or semantic defect; the `ScenarioDef` constructor's error is
+    located at the token its `field` was read from, else at the model name.
+    Total: any string yields a ScenarioDef or raises ScenarioError, nothing else."""
     # Tokenizing the whole source first makes a lexical error anywhere win
     # over every other defect.
     tokens = iter(_tokenize(source))
@@ -155,14 +157,11 @@ def parse_scenario(source: str) -> ScenarioDef:
     if "model" not in value:
         raise ScenarioError("missing 'model' directive", 1, 1)
 
-    # `models.validate` decides whether the definition is valid; a defect is
-    # located at the token its field was read from, else at the model name.
     try:
         scenario = ScenarioDef(
             value["model"], value.get("apps"), app_specs,
             check_list or get_model(value["model"]).invariants,
             value.get("max_states", DEFAULT_MAX_STATES))
-        validate(scenario)
     except ConfigurationError as exc:
         tok = where.get(exc.field) or where[("model",)]
         raise ScenarioError(str(exc), tok.line, tok.column) from None

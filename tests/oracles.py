@@ -2,10 +2,11 @@
 
 Everything in this module is deliberately written without importing the
 package under test: its own state representations, its own transition
-relations, set-fixpoint reachability instead of a worklist BFS, and
-iterative-deepening search for shortest violating paths. The one worklist
-BFS here, `forward_parent_check`, runs on a system's own successor function
-and is the reference for how the kernel finds a trace's parents.
+relations, set-fixpoint reachability instead of a worklist BFS (in
+`reach_stats`, checked against the level walk), and iterative-deepening
+search for shortest violating paths. The one worklist BFS here,
+`forward_parent_check`, runs on a system's own successor function and is
+the reference for how the kernel finds a trace's parents.
 """
 
 from __future__ import annotations
@@ -187,9 +188,11 @@ def cs1_stats(n):
 def shortest_violation(initial, successors, violated):
     """Length of the shortest violating path, by iterative deepening.
 
-    Returns None if no violating state is reachable (checked exhaustively).
+    Returns None if no violating state is reachable (checked exhaustively,
+    by the level walk, which expands each state once).
     """
-    if not any(violated(s) for s in reachable_set_fixpoint(initial, successors)):
+    if not any(violated(s) for level in reachable_levels(initial, successors)
+               for s in level):
         return None
     depth = 0
     while True:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apscheck import cli
+from apscheck import cli, models
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted(p.name for p in (ROOT / "scenarios").glob("*.scn"))
@@ -85,6 +85,33 @@ class TestCheckCommand:
             reports.append((code, mask_elapsed(out), err))
         assert reports[0] == reports[1]
         assert reports[0][0] == 1
+
+    @pytest.mark.parametrize("argv,expected_code", [
+        (["cs1.scn"], 1),
+        (["cs1.scn", "--replay", str(ROOT / "tests" / "golden" / "cs1.json.out")], 0),
+        (["cs1.scn", "--stats-only"], 0),
+        (["cs1.scn", "--format", "json"], 1),
+        (["cs1.scn", "--max-states", "5"], 3),
+        (["custom_safe.scn"], 0),
+        (["custom_vuln.scn"], 1),
+        (["custom_vuln.scn", "--format", "json"], 1),
+        (["custom_vuln.scn", "--replay", VULN_REPLAY], 0),
+    ], ids=["check", "replay", "stats-only", "json", "max-states", "custom pass",
+            "custom violation", "custom json", "custom replay"])
+    def test_a_run_validates_its_scenario_once(self, run_cli, scenarios_dir,
+                                               monkeypatch, argv, expected_code):
+        # `scenario.py` and `models/__init__.py` each look the validator up
+        # in their own namespace.
+        calls = []
+
+        def counted(definition, validate=models.validate):
+            calls.append(definition)
+            return validate(definition)
+
+        for module in ("apscheck.models", "apscheck.scenario"):
+            monkeypatch.setattr(f"{module}.validate", counted)
+        code, _, err = run_cli("check", str(scenarios_dir / argv[0]), *argv[1:])
+        assert (code, err, len(calls)) == (expected_code, "", 1)
 
 
 class TestReplayFlag:

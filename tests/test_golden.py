@@ -12,6 +12,7 @@ After an intended change of output, rewrite the files with
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -104,6 +105,16 @@ def test_library_report_matches_golden(case, mask_elapsed):
     render = render_structured if "json" in extra else render_text
     golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert mask_elapsed(render(report)) == mask_elapsed(golden)
+
+
+def test_readme_library_example_runs(run_python):
+    """README's "Library use" block runs as written from the repository root."""
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n.*?^```python\n(.*?)^```", readme,
+                      re.M | re.S).group(1)
+    result = run_python("-c", block, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("Error: invariant ApsConsistent is violated.\n")
 
 
 if __name__ == "__main__":

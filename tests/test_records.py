@@ -91,11 +91,13 @@ def test_repr_names_every_field():
 
 
 def test_a_scenario_without_an_app_count_holds_none():
-    scenario = ScenarioDef("custom_permissions")
+    scenario = ScenarioDef("custom_permissions", None, (AppSpec("m"),),
+                           ("escalation_free",))
     assert scenario.apps is None
     assert repr(scenario) == (
-        "ScenarioDef(model_name='custom_permissions', apps=None, app_specs=(), "
-        "check_list=(), max_states=1000000)")
+        "ScenarioDef(model_name='custom_permissions', apps=None, "
+        "app_specs=(AppSpec(id='m', declares=(), requests=()),), "
+        "check_list=('escalation_free',), max_states=1000000)")
 
 
 @pytest.mark.parametrize("build,message", [

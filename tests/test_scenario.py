@@ -3,11 +3,13 @@ totality on arbitrary input."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from apscheck.errors import ConfigurationError
@@ -242,6 +244,8 @@ OVER_BUDGET = cs1.MAX_SLOTS // 3 + 1
 
 @st.composite
 def definitions(draw) -> ScenarioDef:
+    """A ScenarioDef from fields that are often invalid; a draw whose
+    construction raises is rejected."""
     model = draw(st.sampled_from(("aps_cs1", "custom_permissions")))
     invariants = get_model(model).invariants
     if model == "aps_cs1":
@@ -255,7 +259,7 @@ def definitions(draw) -> ScenarioDef:
                                           for n, level in declares.items()),
                             tuple(draw(st.lists(_WORDS, max_size=2)))))
     # Lists where the parser gives tuples: the definition keeps tuples.
-    return ScenarioDef(
+    args = (
         model,
         draw(mostly(counts, st.sampled_from((None, 1, 0, True, 2.5, OVER_BUDGET)))),
         apps,
@@ -266,15 +270,16 @@ def definitions(draw) -> ScenarioDef:
         draw(mostly(st.sampled_from((1, 50, DEFAULT_MAX_STATES)),
                     st.sampled_from((0, 2.5, True, "5")))),
     )
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(definitions())
-def test_a_definition_that_builds_parses_back_equal(definition):
     try:
-        build_system(definition)
+        return ScenarioDef(*args)
     except ConfigurationError:
-        return
+        reject()
+
+
+# About one draw in four constructs: 150 examples take some 550 draws.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(definitions())
+def test_every_definition_parses_back_equal(definition):
     assert parse_scenario(render_scenario(definition)) == definition
 
 
@@ -295,108 +300,49 @@ class TestValidateSemantics:
 
 
 class TestDirectDefinitions:
-    """A ScenarioDef built without the parser meets the same rules when
-    its system is built and checked."""
+    """A ScenarioDef built without the parser meets the same rules when it
+    is made. Rows hold constructor arguments: an invalid record cannot be
+    built at collection."""
 
-    @pytest.mark.parametrize("definition,problem", [
-        (ScenarioDef(model_name="zzz"), "unknown model 'zzz'"),
-        (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)),
-         "model aps_cs1 requires an 'apps' directive"),
-        (ScenarioDef(model_name="aps_cs1", apps=0,
-                     check_list=("ApsTypeOK",)), "app count must be at least 1"),
-        (ScenarioDef(model_name="aps_cs1", apps=OVER_BUDGET, check_list=("ApsTypeOK",)),
-         "app count must be at most 21845"),
-        (ScenarioDef(model_name="custom_permissions", check_list=("escalation_free",)),
-         "model custom_permissions requires at least one app block"),
-        (ScenarioDef(model_name="custom_permissions",
-                     app_specs=(AppSpec("m"), AppSpec("m")),
-                     check_list=("escalation_free",)), "duplicate app id 'm'"),
-        (ScenarioDef(model_name="aps_cs1", apps=1, check_list=("Nope",)),
-         "model aps_cs1 has no invariant named 'Nope'"),
-        (ScenarioDef(model_name="aps_cs1", apps=1,
-                     check_list=("ApsTypeOK",), max_states=0),
-         "max_states must be at least 1"),
-        (ScenarioDef("aps_cs1", 1, (AppSpec("m"),), ("ApsTypeOK",)),
-         "app blocks are not valid for model aps_cs1"),
-        (ScenarioDef("custom_permissions", 3, (AppSpec("m"),),
-                     ("escalation_free",)),
-         "'apps' is not valid for model custom_permissions"),
-        *((ScenarioDef("aps_cs1", apps, (), ("ApsTypeOK",)),
-           f"aps_cs1 needs an integer app count, not {apps!r}")
+    @pytest.mark.parametrize("args,problem,field", [
+        (("zzz",), "unknown model 'zzz'", ()),
+        (("aps_cs1", None, (), ("ApsTypeOK",)),
+         "model aps_cs1 requires an 'apps' directive", ("apps",)),
+        (("aps_cs1", 0, (), ("ApsTypeOK",)), "app count must be at least 1", ("apps",)),
+        (("aps_cs1", OVER_BUDGET, (), ("ApsTypeOK",)),
+         "app count must be at most 21845", ("apps",)),
+        (("custom_permissions", None, (), ("escalation_free",)),
+         "model custom_permissions requires at least one app block", ("app_specs",)),
+        (("custom_permissions", None, (AppSpec("m"), AppSpec("m")), ("escalation_free",)),
+         "duplicate app id 'm'", ("app_specs", 1)),
+        (("aps_cs1", 1, (), ("Nope",)),
+         "model aps_cs1 has no invariant named 'Nope'", ("check_list", 0)),
+        (("aps_cs1", 1, (), ("ApsTypeOK",), 0),
+         "max_states must be at least 1", ("max_states",)),
+        (("aps_cs1", 1, (AppSpec("m"),), ("ApsTypeOK",)),
+         "app blocks are not valid for model aps_cs1", ("app_specs", 0)),
+        (("custom_permissions", 3, (AppSpec("m"),), ("escalation_free",)),
+         "'apps' is not valid for model custom_permissions", ("apps",)),
+        *((("aps_cs1", apps, (), ("ApsTypeOK",)),
+           f"aps_cs1 needs an integer app count, not {apps!r}", ("apps",))
           for apps in (True, 2.5, "3")),
-        *((ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), limit),
-           f"max_states must be an integer, not {limit!r}")
+        *((("aps_cs1", 1, (), ("ApsTypeOK",), limit),
+           f"max_states must be an integer, not {limit!r}", ("max_states",))
           for limit in (True, 2.5, "5")),
-    ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
-            "cs1 over the slot budget",
-            "custom without apps", "duplicate app ids", "unknown invariant",
-            "max_states 0", "cs1 with app specs", "custom with apps",
-            "apps True", "apps 2.5", "apps '3'",
-            "max_states True", "max_states 2.5", "max_states '5'"])
-    def test_rejected_when_built_or_checked(self, definition, problem):
-        with pytest.raises(ConfigurationError) as exc:
-            check(build_system(definition),
-                  CheckOptions(max_states=definition.max_states))
-        assert str(exc.value) == problem
-
-    # Each of these renders to text that does not parse, or that parses as
-    # a different definition, so building it must fail.
-    @pytest.mark.parametrize("definition,problem", [
-        (ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), 2.5),
-         "max_states must be an integer, not 2.5"),
-        *((ScenarioDef("custom_permissions", None, (app,), ("escalation_free",)),
-           f"app {app.id!r}: {name!r} is not an identifier (a letter or '_', then "
-           "letters, digits, '_' or '.')")
-          for app, name in ((AppSpec("my app"), "my app"),
-                            (AppSpec("m", (PermissionDeclaration("1P", "normal"),)), "1P"),
-                            (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),
-                             "P#x"))),
-        (ScenarioDef("aps_cs1", 1), "check_list must name at least one invariant"),
-    ], ids=["max_states 2.5", "app id with a blank", "name with a leading digit",
-            "name with a comment", "no invariants"])
-    def test_rejected_when_built(self, definition, problem):
-        with pytest.raises(ConfigurationError) as exc:
-            build_system(definition)
-        assert str(exc.value) == problem
-
-    @pytest.mark.parametrize("definition,field", [
-        (ScenarioDef(model_name="zzz"), ()),
-        (ScenarioDef(model_name="aps_cs1", check_list=("ApsTypeOK",)), ("apps",)),
-        (ScenarioDef(model_name="aps_cs1", apps=0,
-                     check_list=("ApsTypeOK",)), ("apps",)),
-        (ScenarioDef(model_name="aps_cs1", apps=OVER_BUDGET,
-                     check_list=("ApsTypeOK",)), ("apps",)),
-        (ScenarioDef(model_name="custom_permissions",
-                     check_list=("escalation_free",)), ("app_specs",)),
-        (ScenarioDef(model_name="custom_permissions",
-                     app_specs=(AppSpec("m"), AppSpec("m")),
-                     check_list=("escalation_free",)), ("app_specs", 1)),
-        (ScenarioDef(model_name="aps_cs1", apps=1, check_list=("Nope",)),
-         ("check_list", 0)),
-        (ScenarioDef(model_name="aps_cs1", apps=1,
-                     check_list=("ApsTypeOK",), max_states=0), ("max_states",)),
-        (ScenarioDef("aps_cs1", 1, (AppSpec("m"),), ("ApsTypeOK",)),
-         ("app_specs", 0)),
-        (ScenarioDef("custom_permissions", 3, (AppSpec("m"),),
-                     ("escalation_free",)), ("apps",)),
-        *((ScenarioDef("aps_cs1", apps, (), ("ApsTypeOK",)), ("apps",))
-          for apps in (True, 2.5, "3")),
-        *((ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",), limit), ("max_states",))
-          for limit in (True, 2.5, "5")),
-        (ScenarioDef("custom_permissions", None, (AppSpec("m"), AppSpec("my app")),
-                     ("escalation_free",)), ("app_specs", 1)),
-        (ScenarioDef("custom_permissions", None,
-                     (AppSpec("m", (PermissionDeclaration("1P", "normal"),)),),
-                     ("escalation_free",)), ("app_specs", 0)),
-        (ScenarioDef("custom_permissions", None,
-                     (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
-                     ("escalation_free",)), ("app_specs", 0)),
-        (ScenarioDef("aps_cs1", 1), ()),
-        (ScenarioDef("custom_permissions", None, (AppSpec("m"),),
-                     ("escalation_free", "Nope")), ("check_list", 1)),
-        (ScenarioDef("custom_permissions", None,
-                     tuple(AppSpec(f"z{i}") for i in range(256)),
-                     ("escalation_free",)), ("app_specs", 255)),
+        *((("custom_permissions", None, apps, ("escalation_free",)),
+           f"app {apps[-1].id!r}: {name!r} is not an identifier (a letter or '_', "
+           "then letters, digits, '_' or '.')", ("app_specs", len(apps) - 1))
+          for apps, name in (
+              ((AppSpec("m"), AppSpec("my app")), "my app"),
+              ((AppSpec("m", (PermissionDeclaration("1P", "normal"),)),), "1P"),
+              ((AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P#x",)),),
+               "P#x"))),
+        (("aps_cs1", 1), "check_list must name at least one invariant", ()),
+        (("custom_permissions", None, (AppSpec("m"),), ("escalation_free", "Nope")),
+         "model custom_permissions has no invariant named 'Nope'", ("check_list", 1)),
+        (("custom_permissions", None, tuple(AppSpec(f"z{i}") for i in range(256)),
+          ("escalation_free",)),
+         "model custom_permissions takes at most 255 apps", ("app_specs", 255)),
     ], ids=["unknown model", "cs1 without apps", "cs1 with apps 0",
             "cs1 over the slot budget",
             "custom without apps", "duplicate app ids", "unknown invariant",
@@ -405,12 +351,94 @@ class TestDirectDefinitions:
             "max_states True", "max_states 2.5", "max_states '5'",
             "app id with a blank", "name with a leading digit", "name with a comment",
             "no invariants", "second invariant unknown", "custom over 255 apps"])
-    @pytest.mark.parametrize("build", [validate, build_system],
-                             ids=["validate", "build_system"])
-    def test_the_error_names_the_field_at_fault(self, definition, field, build):
+    def test_rejected_when_constructed(self, args, problem, field):
         with pytest.raises(ConfigurationError) as exc:
-            build(definition)
-        assert exc.value.field == field
+            ScenarioDef(*args)
+        assert (str(exc.value), exc.value.field) == (problem, field)
+
+    # The accepting side of each rule's boundary.
+    @pytest.mark.parametrize("args", [
+        ("aps_cs1", 1, (), ("ApsTypeOK",)),
+        ("aps_cs1", OVER_BUDGET - 1, (), ("ApsTypeOK",)),
+        ("aps_cs1", 3, (), ("ApsTypeOK", "ApsConsistent")),
+        ("aps_cs1", 2, (), ("ApsConsistent", "ApsTypeOK")),
+        ("aps_cs1", 1, (), ("ApsConsistent", "ApsConsistent")),
+        ("aps_cs1", 1, [], ["ApsTypeOK"]),
+        ("aps_cs1", 1, (), ("ApsTypeOK",), 1),
+        ("aps_cs1", 1, (), ("ApsTypeOK",), 10**12),
+        ("custom_permissions", None, (AppSpec("m"),), ("escalation_free",)),
+        ("custom_permissions", None, tuple(AppSpec(f"z{i}") for i in range(255)),
+         ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("m"), AppSpec("M")), ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("_m"),), ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("com.example.app"),), ("escalation_free",)),
+        ("custom_permissions", None,
+         (AppSpec("app", (PermissionDeclaration("level", "normal"),), ("check",)),),
+         ("escalation_free",)),
+        ("custom_permissions", None,
+         (AppSpec("m1", (PermissionDeclaration("P2", "dangerous"),), ("P2",)),),
+         ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("m.", (PermissionDeclaration("P_", "normal"),),
+                                              ("P_",)),), ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("m", (), ("Ghost",)),), ("escalation_free",)),
+        ("custom_permissions", None,
+         (AppSpec("m", (PermissionDeclaration("android.permission.CAMERA", "dangerous"),),
+                  ("android.permission.CAMERA",)),), ("escalation_free",)),
+        ("custom_permissions", None,
+         (AppSpec("m", (PermissionDeclaration("P", "normal"),), ("P",)),
+          AppSpec("v", (PermissionDeclaration("P", "dangerous"),))), ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("P", (PermissionDeclaration("P", "normal"),),
+                                              ("P",)),), ("escalation_free",)),
+        ("custom_permissions", None, (AppSpec("m", (), ("P", "P")),), ("escalation_free",)),
+        ("custom_permissions", None, [AppSpec("m")], ["escalation_free"]),
+        ("custom_permissions", None, (AppSpec("m"),),
+         ("escalation_free", "escalation_free")),
+    ], ids=["cs1 with apps 1", "cs1 at the slot budget", "every invariant",
+            "invariants out of model order", "an invariant named twice",
+            "cs1 lists for tuples", "max_states 1", "max_states over the default",
+            "one app without names", "custom at 255 apps", "app ids differing in case",
+            "leading underscore", "dotted app id", "keywords as names",
+            "digits after the first character", "trailing '.' and '_'",
+            "request of an undeclared name", "dotted permission name",
+            "two apps defining one name", "app id equal to a name",
+            "a name requested twice", "custom lists for tuples",
+            "custom invariant named twice"])
+    def test_accepted_when_constructed(self, args):
+        definition = ScenarioDef(*args)
+        assert validate(definition) == get_model(args[0])
+        assert parse_scenario(render_scenario(definition)) == definition
+        assert build_system(definition).invariant_names == definition.check_list
+
+    # Each operation on a valid definition, and the calls to the validator
+    # it makes: only what makes a ScenarioDef validates.
+    @pytest.mark.parametrize("operation,calls", [
+        (lambda d: ScenarioDef(d.model_name, d.apps, d.app_specs, d.check_list,
+                               d.max_states), 1),
+        (lambda d: ScenarioDef(**{name: getattr(d, name)
+                                  for name in ScenarioDef.__slots__}), 1),
+        (lambda d: parse_scenario(render_scenario(d)), 1),
+        (lambda d: pickle.loads(pickle.dumps(d)), 1),
+        (copy.copy, 1),
+        (copy.deepcopy, 1),
+        (render_scenario, 0),
+        (build_system, 0),
+        (lambda d: check(build_system(d), CheckOptions(max_states=d.max_states)), 0),
+        (validate_semantics, 0),
+    ], ids=["constructor", "keyword constructor", "parse", "pickle", "copy",
+            "deepcopy", "render", "build_system", "check", "validate_semantics"])
+    def test_only_making_a_definition_validates_it(self, monkeypatch, operation, calls):
+        definition = parse_scenario("model custom_permissions\n"
+                                    "app m { declare P level normal request P }\n")
+        seen = []
+
+        def counted(scenario, validate=validate):
+            seen.append(scenario)
+            return validate(scenario)
+
+        for module in ("apscheck.models", "apscheck.scenario"):
+            monkeypatch.setattr(f"{module}.validate", counted)
+        operation(definition)
+        assert len(seen) == calls
 
     def test_a_state_limit_rejected_by_check_names_its_field(self):
         system = build_system(ScenarioDef("aps_cs1", 1, (), ("ApsTypeOK",)))
@@ -425,9 +453,8 @@ class TestDirectDefinitions:
         monkeypatch.setattr(cs1, "build_system", refuse)
         assert (str(parse_error("model aps_cs1\napps 1_000_000_000_000"))
                 == "2:6: semantic: app count must be at most 21845")
-        for build in (validate, build_system):
-            with pytest.raises(ConfigurationError, match="^app count must be at most"):
-                build(ScenarioDef("aps_cs1", 10**12, (), ("ApsTypeOK",)))
+        with pytest.raises(ConfigurationError, match="^app count must be at most"):
+            ScenarioDef("aps_cs1", 10**12, (), ("ApsTypeOK",))
         # The largest count in the budget validates, and only then builds.
         scenario = parse_scenario("model aps_cs1\napps 21_845")
         assert scenario.apps == cs1.MAX_SLOTS // 3 == OVER_BUDGET - 1
