@@ -15,7 +15,6 @@ import errno
 import functools
 import os
 import sys
-from pathlib import Path
 
 from .errors import CheckerError, ModelIntegrityError
 from .kernel import CheckOptions, Verdict, check, validate_max_states
@@ -52,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="check a scenario file")
-    p_check.add_argument("scenario", type=Path, help="scenario file to check")
+    p_check.add_argument("scenario", type=_path, help="scenario file to check")
     p_check.add_argument("--format", choices=("text", "json"), default="text",
                          help="report format (default: text)")
     p_check.add_argument("--max-states", type=int, default=None, metavar="N",
@@ -60,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--stats-only", action="store_true",
                          help="disable invariants and report reachability "
                               "statistics only")
-    p_check.add_argument("--replay", type=Path, default=None, metavar="FILE",
+    p_check.add_argument("--replay", type=_path, default=None, metavar="FILE",
                          help="validate a previously saved JSON report "
                               "against this scenario's system")
 
@@ -69,9 +68,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: Path) -> str:
+def _path(text: str) -> str:
+    """`str(pathlib.Path(text))` on POSIX, without importing pathlib."""
+    root = text[:len(text) - len(text.lstrip("/"))]
+    parts = [part for part in text.split("/") if part not in ("", ".")]
+    return (root if root == "//" else root[:1]) + "/".join(parts) or "."
+
+
+def _read(path: str) -> str:
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CheckerError(f"cannot read {path}: {exc}") from None
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import re
 import time
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
 
@@ -102,12 +103,11 @@ def variable_slices(variables: Sequence[VariableDecl]) -> tuple[slice, ...]:
     return tuple(slices)
 
 
-class ActionLabel(NamedTuple):
+class ActionLabel(namedtuple("ActionLabel", ("name", "params"), defaults=((),))):
     """Names the atomic action that produced a transition, with its
-    parameter values in a fixed order (the acting app first)."""
+    `(name, value)` parameters in a fixed order (the acting app first)."""
 
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
+    __slots__ = ()
 
     def render(self) -> str:
         if not self.params:
@@ -184,7 +184,7 @@ def decode(variables: Sequence[VariableDecl],
 
 
 def _well_formed(
-        variables: Sequence[VariableDecl]) -> Callable[[bytes], Optional[re.Match]]:
+        variables: Sequence[VariableDecl]) -> Callable[[bytes], re.Match | None]:
     """A matcher accepting exactly the encodings :func:`decode` accepts,
     length and codes in one call. The `re` module's own cache keeps a
     repeated layout compiled."""
@@ -235,9 +235,8 @@ class TransitionSystem:
             pair for n in names for pair in self.invariants if pair[0] == n))
 
 
-class TraceStep(NamedTuple):
-    state: bytes
-    label: Optional[ActionLabel]  # None only on the initial state
+# A state's encoding and the `ActionLabel` that reached it, None on the initial state.
+TraceStep = namedtuple("TraceStep", ("state", "label"))
 
 
 class Trace(Record):
@@ -260,30 +259,25 @@ class Verdict(Enum):
     INTERRUPTED = "interrupted"
 
 
-class CheckOptions(NamedTuple):
-    max_states: int = DEFAULT_MAX_STATES
-    check_invariants: bool = True
+CheckOptions = namedtuple("CheckOptions", ("max_states", "check_invariants"),
+                          defaults=(DEFAULT_MAX_STATES, True))
 
 
-class CheckReport(NamedTuple):
+class CheckReport(namedtuple("CheckReport", (
+        "verdict", "distinct_states", "transitions", "diameter", "elapsed", "trace",
+        "invariants_checked"), defaults=(None, ()))):
     """Outcome of one exploration run.
 
     `diameter` is the maximum breadth-first depth of any discovered state;
     on a full pass it equals the depth of the state farthest from the
     initial states. `elapsed` is wall-clock seconds and is the only
-    nondeterministic field.
+    nondeterministic field. Only a violation has a `trace`.
     """
 
-    verdict: Verdict
-    distinct_states: int
-    transitions: int
-    diameter: int
-    elapsed: float
-    trace: Optional[Trace] = None
-    invariants_checked: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
-    def violated_invariant(self) -> Optional[str]:
+    def violated_invariant(self) -> str | None:
         return self.trace.violated_invariant if self.trace is not None else None
 
 
@@ -365,7 +359,7 @@ def check(system: TransitionSystem,
     add, append_state = seen.add, levels[0].append
     transitions = 0
 
-    def report(verdict: Verdict, trace: Optional[Trace] = None) -> CheckReport:
+    def report(verdict: Verdict, trace: Trace | None = None) -> CheckReport:
         return CheckReport(
             verdict=verdict,
             distinct_states=len(seen),

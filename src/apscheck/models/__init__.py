@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from ..errors import ConfigurationError
 from ..kernel import TransitionSystem, validate_max_states
@@ -27,14 +27,9 @@ __all__ = [
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
-class ModelInfo(NamedTuple):
-    name: str
-    params: tuple[str, ...]
-    invariants: tuple[str, ...]
-    build: Callable[["ScenarioDef"], TransitionSystem]
-
-
-# `build` takes a definition that `validate` accepted.
+# A built-in model's name, scenario parameters, invariant names and `build`,
+# from a definition that `validate` accepted to its `TransitionSystem`.
+ModelInfo = namedtuple("ModelInfo", ("name", "params", "invariants", "build"))
 _REGISTRY = {
     cs1.MODEL_NAME: ModelInfo(cs1.MODEL_NAME, ("apps",), cs1.INVARIANT_NAMES,
                               lambda scenario: cs1.build_system(scenario.apps)),

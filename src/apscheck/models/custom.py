@@ -15,8 +15,8 @@ definer second reaches that situation in three steps.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..kernel import (MAX_DOMAIN_SIZE, ActionLabel, Record, TransitionSystem,

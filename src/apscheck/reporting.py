@@ -7,7 +7,7 @@ is the only field that varies between runs.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import DomainError, ReplayDocumentError
 from .kernel import CheckReport, TransitionSystem, Verdict, canonical_encode, decode
@@ -96,15 +96,14 @@ def render_structured(report: CheckReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-class ReplayResult(NamedTuple):
+class ReplayResult(namedtuple("ReplayResult", ("valid", "divergent_step", "reason"),
+                              defaults=(None, ""))):
     """Outcome of replaying a trace document; truthy exactly when valid.
 
     `divergent_step` is the 1-based number of the first step whose state,
-    action or invariant verdict does not match the system."""
+    action or invariant verdict does not match the system, or None."""
 
-    valid: bool
-    divergent_step: Optional[int] = None
-    reason: str = ""
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.valid

@@ -18,7 +18,8 @@ defaults to 1,000,000 states.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import CheckerError, ConfigurationError
 from .kernel import DEFAULT_MAX_STATES, Record
@@ -69,7 +70,7 @@ class ScenarioDef(Record):
 
     __slots__ = ("model_name", "apps", "app_specs", "check_list", "max_states")
 
-    def __init__(self, model_name: str, apps: Optional[int] = None,
+    def __init__(self, model_name: str, apps: int | None = None,
                  app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
                  max_states: int = DEFAULT_MAX_STATES):
         super().__init__(model_name, apps, tuple(app_specs), tuple(check_list),
@@ -77,11 +78,8 @@ class ScenarioDef(Record):
         validate(self)
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | int | lbrace | rbrace | end
-    text: str
-    line: int
-    column: int
+# `kind` is ident, int, lbrace, rbrace or end.
+_Token = namedtuple("_Token", ("kind", "text", "line", "column"))
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -103,7 +101,7 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 def _expect(tokens: Iterator[_Token], kind: str, what: str,
-            text: Optional[str] = None) -> _Token:
+            text: str | None = None) -> _Token:
     tok = next(tokens)
     if tok.kind != kind or (text is not None and tok.text != text):
         found = tok.text if tok.kind == "end" else repr(tok.text)

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apscheck import cli, models
@@ -253,19 +253,30 @@ class TestResourceErrors:
                             r"state at depth 1; successors must be deterministic\n", err)
 
 
-# id -> (arguments after `check`, exit code, the one stderr line). {tmp}
-# is the test's temporary directory and {scn} the shipped scenarios. The
-# scenario's located error comes before `--max-states 0`, and that flag's
-# error before reading the replay.
+# id -> (arguments after `check`, exit code, the one stderr line, or ""
+# where the check runs and prints only its report). {tmp} is the test's
+# temporary directory, also the working directory, and {scn} the shipped
+# scenarios. The scenario's located error comes before `--max-states 0`,
+# and that flag's error before reading the replay. A path prints as
+# `pathlib.Path` spells it: without `.` parts, repeated or trailing slashes.
 ERROR_LINES = {
     "missing_scenario": (
         ["{tmp}/missing.scn"], 2, "error: cannot read {tmp}/missing.scn: "
         "[Errno 2] No such file or directory: '{tmp}/missing.scn'"),
+    "missing_scenario_dot_part": (
+        ["{tmp}/./missing.scn"], 2, "error: cannot read {tmp}/missing.scn: "
+        "[Errno 2] No such file or directory: '{tmp}/missing.scn'"),
+    "advisory_dot_relative": (
+        ["./warn.scn"], 0,
+        "warn.scn: warning: app 'm' requests 'Q', which no app declares"),
+    "scenario_trailing_slash": (["{scn}/cs1.scn/"], 1, ""),
     "non_utf8_scenario": (
         ["{tmp}/binary.scn"], 2, "error: cannot read {tmp}/binary.scn: 'utf-8' "
         "codec can't decode byte 0xff in position 0: invalid start byte"),
     "scenario_error": (
         ["{tmp}/bad.scn"], 2, "{tmp}/bad.scn:1:7: semantic: unknown model 'nosuch'"),
+    "scenario_error_double_slash": (
+        ["{tmp}//bad.scn"], 2, "{tmp}/bad.scn:1:7: semantic: unknown model 'nosuch'"),
     "app_ceiling": (
         ["{tmp}/wide.scn"], 2,
         "{tmp}/wide.scn:257:5: semantic: model custom_permissions takes at most "
@@ -283,6 +294,10 @@ ERROR_LINES = {
         ["{scn}/cs1.scn", "--replay", "{tmp}/missing.json"], 2,
         "error: cannot read {tmp}/missing.json: "
         "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    "missing_replay_dot_part": (
+        ["{scn}/cs1.scn", "--replay", "{tmp}/./missing.json"], 2,
+        "error: cannot read {tmp}/missing.json: "
+        "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
     "replay_document": (
         ["{scn}/custom_safe.scn", "--replay", "{tmp}/pass.json"], 2,
         "error: report document carries no trace to replay"),
@@ -298,16 +313,32 @@ class TestErrorLines:
                                            monkeypatch, case):
         (tmp_path / "binary.scn").write_bytes(b"\xff\n")
         (tmp_path / "bad.scn").write_text("model nosuch\n")
+        (tmp_path / "warn.scn").write_text("model custom_permissions\n"
+                                           "app m { request Q }\n")
         (tmp_path / "wide.scn").write_text("model custom_permissions\n" + "".join(
             f"app z{i} {{ }}\n" for i in range(256)))
         (tmp_path / "pass.json").write_bytes(
             (ROOT / "tests" / "golden" / "custom_safe.json.out").read_bytes())
         if case == "model_integrity":
             monkeypatch.setattr(cli, "build_system", forgetful(cli.build_system))
+        monkeypatch.chdir(tmp_path)
         args, code, line = ERROR_LINES[case]
         fill = dict(tmp=tmp_path, scn=scenarios_dir)
-        assert run_cli("check", *(arg.format(**fill) for arg in args)) == (
-            code, "", line.format(**fill) + "\n")
+        got, out, err = run_cli("check", *(arg.format(**fill) for arg in args))
+        # Golden reports pin what a check that runs prints.
+        assert (got, bool(out), err) == (
+            code, code < 2, line and line.format(**fill) + "\n")
+
+
+# The CLI spells a path without importing pathlib; each Python's pathlib
+# is the reference, repeated and trailing slashes and `.` parts included.
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.text(alphabet="/. a"))
+@example("")
+@example("//a/")
+@example("///a")
+def test_paths_are_spelled_as_pathlib_spells_them(text):
+    assert cli._path(text) == str(Path(text))
 
 
 class TestModuleEntryPoint:

@@ -318,15 +318,22 @@ def reachable(system) -> list[bytes]:
     return oracles.states_within(system, len(system.initial_states[0]))
 
 
-def oracle_state(system, s: bytes):
-    """The oracle's (installed, registry, grants, denied) view of `s`."""
-    view = decode(system.variables, s)
-    modes = [(*key.split(":"), mode) for key, mode in view["grants"].items()]
-    return (frozenset(a for a, on in view["installed"].items() if on),
-            frozenset((n, level, view["registryDefiner"][n])
-                      for n, level in view["registryLevel"].items() if level),
-            frozenset(g for g in modes if g[2] in (AUTO, CONSENT)),
-            frozenset((a, n) for a, n, mode in modes if mode == DENIED))
+def oracle_view(system):
+    """The oracle's (installed, registry, grants, denied) view of a state
+    of `system`. Each `app:name` grant key is split once, here."""
+    grant_keys = [tuple(key.split(":")) for decl in system.variables
+                  if decl.name == "grants" for key in decl.keys]
+
+    def view(s: bytes) -> tuple:
+        state = decode(system.variables, s)
+        grants = list(zip(grant_keys, state["grants"].values()))
+        return (frozenset(a for a, on in state["installed"].items() if on),
+                frozenset((n, level, state["registryDefiner"][n])
+                          for n, level in state["registryLevel"].items() if level),
+                frozenset((*key, mode) for key, mode in grants if mode in (AUTO, CONSENT)),
+                frozenset(key for key, mode in grants if mode == DENIED))
+
+    return view
 
 
 SCENARIOS = {
@@ -352,10 +359,11 @@ class TestSuccessorsMatchTheOracle:
         states = reachable(system) if depth is None else oracles.states_within(system, depth)
         # Each distinct encoding is decoded once: states share most successors.
         views: dict[bytes, tuple] = {}
+        oracle_state = oracle_view(system)
 
         def view(s: bytes) -> tuple:
             if s not in views:
-                views[s] = oracle_state(system, s)
+                views[s] = oracle_state(s)
             return views[s]
 
         for s in states:

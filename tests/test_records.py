@@ -142,14 +142,20 @@ def test_app_spec_order_is_normalized():
 def test_only_the_transition_system_is_a_dataclass(run_python):
     """Frozen dataclasses generate and compile code when their class is
     created; the CLI's import builds only the one the benchmark tracer
-    rebuilds with `dataclasses.replace`."""
+    rebuilds with `dataclasses.replace`. Neither the import nor a check and
+    a replay load `typing` or `pathlib`. The child runs without `site`,
+    whose `.pth` files may import either."""
     script = (
-        "import sys, apscheck.cli\n"
+        "import contextlib, io, sys, apscheck.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['check', 'scenarios/custom_vuln.scn', *replay]) for replay\n"
+        "             in ([], ['--replay', 'tests/golden/custom_vuln.json.out'])]\n"
+        "print(codes, [m for m in ('typing', 'pathlib') if m in sys.modules])\n"
         "print(sorted(f'{m}.{n}' for m, mod in list(sys.modules.items())\n"
         "             if m.split('.')[0] == 'apscheck'\n"
         "             for n, v in vars(mod).items() if isinstance(v, type)\n"
         "             and v.__module__ == m and '__dataclass_fields__' in vars(v)))\n"
     )
-    proc = run_python("-c", script, capture_output=True)
+    proc = run_python("-S", "-c", script, capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "['apscheck.kernel.TransitionSystem']\n"
+    assert proc.stdout == "[1, 0] []\n['apscheck.kernel.TransitionSystem']\n"
