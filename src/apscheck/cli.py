@@ -79,7 +79,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as file:
             return file.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a decoding error or a NUL in the path
         raise CheckerError(f"cannot read {path}: {exc}") from None
 
 

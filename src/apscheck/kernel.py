@@ -17,6 +17,7 @@ from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 
 from .errors import ConfigurationError, DomainError, ModelIntegrityError
 
@@ -33,41 +34,7 @@ DEFAULT_MAX_STATES = 1_000_000
 _SLOT_CLASS = rb"[\x00-\x%02x]{%d}+"
 
 
-class Record:
-    """Immutable record: `__slots__` names the fields in order, and records
-    of one class compare and hash by field values, as frozen dataclasses do,
-    but without generating code when the class is created."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return (self._values() == other._values() if type(other) is type(self)
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class VariableDecl(Record):
+class VariableDecl(namedtuple("VariableDecl", ("name", "keys", "domain"))):
     """One model variable: a total map from `keys` into `domain`.
 
     Keys are typically app identifiers, but any fixed, ordered index set
@@ -77,9 +44,9 @@ class VariableDecl(Record):
     nor domain values may repeat: each value has exactly one code.
     """
 
-    __slots__ = ("name", "keys", "domain")
+    __slots__ = ()
 
-    def __init__(self, name: str, keys: tuple[str, ...], domain: tuple):
+    def __new__(cls, name: str, keys: tuple[str, ...], domain: tuple):
         if len(domain) > MAX_DOMAIN_SIZE:
             raise ConfigurationError(
                 f"variable {name!r} has {len(domain)} domain values; the one-byte-"
@@ -89,18 +56,17 @@ class VariableDecl(Record):
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise ConfigurationError(
                     f"variable {name!r} repeats {what} {repeated!r}")
-        super().__init__(name, keys, domain)
+        return super().__new__(cls, name, keys, domain)
+
+    # `_replace`, and `copy.replace` through it, build through `__new__`.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def variable_slices(variables: Sequence[VariableDecl]) -> tuple[slice, ...]:
     """Where each variable's slots sit in the canonical encoding, in
     declaration order: one byte per key, keys in declared key order."""
-    slices = []
-    pos = 0
-    for decl in variables:
-        slices.append(slice(pos, pos + len(decl.keys)))
-        pos += len(decl.keys)
-    return tuple(slices)
+    ends = (0, *accumulate(len(decl.keys) for decl in variables))
+    return tuple(map(slice, ends, ends[1:]))
 
 
 class ActionLabel(namedtuple("ActionLabel", ("name", "params"), defaults=((),))):
@@ -166,14 +132,13 @@ def decode(variables: Sequence[VariableDecl],
     the domains' own values, variables and keys in declared order. A
     malformed encoding raises :class:`DomainError` naming a wrong length,
     or else the first slot whose code is outside its variable's domain."""
-    slices = variable_slices(variables)
-    width = slices[-1].stop if slices else 0
-    if len(encoding) != width:
+    ends = (0, *accumulate(len(decl.keys) for decl in variables))
+    if len(encoding) != ends[-1]:
         raise DomainError(f"state encoding has {len(encoding)} slots, "
-                          f"declarations require {width}")
+                          f"declarations require {ends[-1]}")
     values = {}
-    for decl, where in zip(variables, slices):
-        codes = encoding[where]
+    for decl, start, stop in zip(variables, ends, ends[1:]):
+        codes = encoding[start:stop]
         if codes and max(codes) >= len(decl.domain):
             key, code = next((key, code) for key, code in zip(decl.keys, codes)
                              if code >= len(decl.domain))
@@ -239,13 +204,15 @@ class TransitionSystem:
 TraceStep = namedtuple("TraceStep", ("state", "label"))
 
 
-class Trace(Record):
+# `steps`: tuple[TraceStep, ...]; `variables`: tuple[VariableDecl, ...].
+class Trace(namedtuple("Trace", ("steps", "violated_invariant", "variables"))):
     """Minimal-length labeled path from an initial state to the state that
     violates `violated_invariant`. Steps hold encodings; `variables`, the
     system's declarations, decode them (see :func:`decode`)."""
 
-    # tuple[TraceStep, ...], str, tuple[VariableDecl, ...]
-    __slots__ = ("steps", "violated_invariant", "variables")
+    __slots__ = ()
+    # The stock `_make` checks `len`, which counts actions here.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __len__(self) -> int:
         # Number of labeled steps, i.e. actions taken.

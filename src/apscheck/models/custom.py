@@ -15,12 +15,13 @@ definer second reaches that situation in three steps.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from operator import itemgetter
 
 from ..errors import ConfigurationError
-from ..kernel import (MAX_DOMAIN_SIZE, ActionLabel, Record, TransitionSystem,
-                      VariableDecl, canonical_encode, variable_slices)
+from ..kernel import (MAX_DOMAIN_SIZE, ActionLabel, TransitionSystem, VariableDecl,
+                      canonical_encode, variable_slices)
 
 NORMAL = "normal"
 DANGEROUS = "dangerous"
@@ -43,28 +44,30 @@ _AUTO_CODE, _CONSENT_CODE, _DENIED_CODE = (_GRANT_MODES.index(m)
                                            for m in (AUTO, CONSENT, DENIED))
 
 
-class PermissionDeclaration(Record):
-    __slots__ = ("name", "level")
+class PermissionDeclaration(namedtuple("PermissionDeclaration", ("name", "level"))):
+    __slots__ = ()
 
-    def __init__(self, name: str, level: str):
+    def __new__(cls, name: str, level: str):
         if not name:
             raise ConfigurationError("permission name must be non-empty")
         if level not in PROTECTION_LEVELS:
             raise ConfigurationError(f"unknown protection level {level!r}")
-        super().__init__(name, level)
+        return super().__new__(cls, name, level)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class AppSpec(Record):
+class AppSpec(namedtuple("AppSpec", ("id", "declares", "requests"))):
     """An app's closed-world interface: what it declares and may request.
 
     Declarations and requests are normalized to name-ascending tuples so
     structurally equal specs compare equal regardless of construction order.
     """
 
-    __slots__ = ("id", "declares", "requests")
+    __slots__ = ()
 
-    def __init__(self, id: str, declares: tuple[PermissionDeclaration, ...] = (),
-                 requests: tuple[str, ...] = ()):
+    def __new__(cls, id: str, declares: tuple[PermissionDeclaration, ...] = (),
+                requests: tuple[str, ...] = ()):
         if isinstance(requests, str):
             raise ConfigurationError(f"app {id!r}: requests must be a tuple of "
                                      f"names, not the string {requests!r}")
@@ -73,7 +76,9 @@ class AppSpec(Record):
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise ConfigurationError(f"app {id!r} declares {dup!r} more than once")
-        super().__init__(id, decls, tuple(sorted(set(requests))))
+        return super().__new__(cls, id, decls, tuple(sorted(set(requests))))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def validate_apps(apps: Sequence[AppSpec]) -> None:

@@ -114,10 +114,10 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
 
     Valid when every recorded state encodes under the system's declarations
     (:func:`~apscheck.kernel.canonical_encode` is strict: no extra variables
-    or keys, every value of its domain value's type), the first state is
-    initial and carries no action, every later state is a successor the
+    or keys, every value of its domain value's type), the first state
+    carries no action and is initial, every later state is a successor the
     recorded action produces, and the final state fails a predicate listed
-    under the named invariant.
+    under the named invariant. Steps are checked in that order, one by one.
     Raises :class:`ReplayDocumentError` when the document cannot be
     interpreted at all (bad JSON, no trace, unknown invariant); in-trace
     mismatches, including tampered values, come back as an invalid result
@@ -139,34 +139,30 @@ def replay(report_document: str, system: TransitionSystem) -> ReplayResult:
     if not isinstance(steps, list) or not steps:
         raise ReplayDocumentError("trace is empty")
 
-    recorded: list[bytes] = []
     for index, step in enumerate(steps, start=1):
         try:
-            encoding = canonical_encode(system.variables, step["state"])
+            state = canonical_encode(system.variables, step["state"])
         except (DomainError, KeyError, TypeError):
             return ReplayResult(False, index, "state does not decode against "
                                               "the system's declarations")
-        if index == 1 and (step.get("action") is not None or step.get("params")):
-            return ReplayResult(False, 1, "initial step carries an action")
-        recorded.append(encoding)
-
-    if recorded[0] not in system.initial_states:
-        return ReplayResult(False, 1, "first state is not an initial state")
-
-    current = recorded[0]
-    for index, step in enumerate(steps[1:], start=2):
         action = step.get("action")
         params = step.get("params") or {}
-        matches = [successor for label, successor in system.successors(current)
-                   if label.name == action and dict(label.params) == params]
-        if not matches:
-            return ReplayResult(False, index,
-                                f"action {action!r} with params {params!r} is "
-                                "not enabled here")
-        current = recorded[index - 1]
-        if current not in matches:
-            return ReplayResult(False, index, "recorded state differs from the "
-                                              "action's successor")
+        if index == 1:
+            if action is not None or params:
+                return ReplayResult(False, 1, "initial step carries an action")
+            if state not in system.initial_states:
+                return ReplayResult(False, 1, "first state is not an initial state")
+        else:
+            matches = [successor for label, successor in system.successors(current)
+                       if label.name == action and dict(label.params) == params]
+            if not matches:
+                return ReplayResult(False, index,
+                                    f"action {action!r} with params {params!r} is "
+                                    "not enabled here")
+            if state not in matches:
+                return ReplayResult(False, index, "recorded state differs from the "
+                                                  "action's successor")
+        current = state
 
     if all(predicate(current) for name, predicate in system.invariants
            if name == invariant_name):

@@ -22,7 +22,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .errors import CheckerError, ConfigurationError
-from .kernel import DEFAULT_MAX_STATES, Record
+from .kernel import DEFAULT_MAX_STATES
 from .models import IDENTIFIER, AppSpec, PermissionDeclaration, get_model, validate
 
 SYNTAX = "syntax"
@@ -62,20 +62,24 @@ class ScenarioError(CheckerError):
         return f"{self.line}:{self.column}: {self.kind}: {self.message}"
 
 
-class ScenarioDef(Record):
+class ScenarioDef(namedtuple("ScenarioDef", (
+        "model_name", "apps", "app_specs", "check_list", "max_states"))):
     """A scenario: which model to build and what to check on it. `apps` is
     the app count of `aps_cs1`, or `None` where the text has no `apps` line;
-    `app_specs` and `check_list` are kept as tuples. The constructor ends
-    with :func:`apscheck.models.validate`, and raises its error."""
+    `app_specs` and `check_list` are kept as tuples. The constructor, and so
+    `_replace`, ends with :func:`apscheck.models.validate`, and raises its error."""
 
-    __slots__ = ("model_name", "apps", "app_specs", "check_list", "max_states")
+    __slots__ = ()
 
-    def __init__(self, model_name: str, apps: int | None = None,
-                 app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
-                 max_states: int = DEFAULT_MAX_STATES):
-        super().__init__(model_name, apps, tuple(app_specs), tuple(check_list),
-                         max_states)
+    def __new__(cls, model_name: str, apps: int | None = None,
+                app_specs: tuple[AppSpec, ...] = (), check_list: tuple[str, ...] = (),
+                max_states: int = DEFAULT_MAX_STATES):
+        self = super().__new__(cls, model_name, apps, tuple(app_specs),
+                               tuple(check_list), max_states)
         validate(self)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # `kind` is ident, int, lbrace, rbrace or end.

@@ -270,6 +270,8 @@ ERROR_LINES = {
         ["./warn.scn"], 0,
         "warn.scn: warning: app 'm' requests 'Q', which no app declares"),
     "scenario_trailing_slash": (["{scn}/cs1.scn/"], 1, ""),
+    "nul_in_scenario_path": (
+        ["{tmp}/a\0b.scn"], 2, "error: cannot read {tmp}/a\0b.scn: embedded null byte"),
     "non_utf8_scenario": (
         ["{tmp}/binary.scn"], 2, "error: cannot read {tmp}/binary.scn: 'utf-8' "
         "codec can't decode byte 0xff in position 0: invalid start byte"),
@@ -298,6 +300,9 @@ ERROR_LINES = {
         ["{scn}/cs1.scn", "--replay", "{tmp}/./missing.json"], 2,
         "error: cannot read {tmp}/missing.json: "
         "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    "nul_in_replay_path": (
+        ["{scn}/cs1.scn", "--replay", "{tmp}/a\0b.json"], 2,
+        "error: cannot read {tmp}/a\0b.json: embedded null byte"),
     "replay_document": (
         ["{scn}/custom_safe.scn", "--replay", "{tmp}/pass.json"], 2,
         "error: report document carries no trace to replay"),

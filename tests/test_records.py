@@ -65,6 +65,9 @@ def test_records_are_immutable_values(name):
         delattr(first, field)
     assert first == second
     assert pickle.loads(pickle.dumps(first)) == first
+    # Every record is a named tuple: equal to the plain tuple of its fields.
+    assert first == tuple(first) and tuple(first._asdict()) == first._fields
+    assert first._replace() == first
 
 
 @pytest.mark.parametrize("duplicate", [lambda error: pickle.loads(pickle.dumps(error)),
@@ -77,11 +80,6 @@ def test_errors_keep_their_fields_through_pickle_and_copy(duplicate):
         assert type(clone) is type(error)
         assert str(clone) == str(error)
         assert vars(clone) == vars(error)
-
-
-def test_records_of_different_classes_are_unequal():
-    assert PermissionDeclaration("P", "normal") != ("P", "normal")
-    assert VariableDecl("x", (), ()) != PermissionDeclaration("x", "normal")
 
 
 def test_repr_names_every_field():
@@ -122,9 +120,26 @@ def test_a_scenario_without_an_app_count_holds_none():
     # Sorting its characters would request 'A', 'C', 'E', 'M' and 'R'.
     (lambda: AppSpec("m", (), "CAMERA"),
      "app 'm': requests must be a tuple of names, not the string 'CAMERA'"),
+    # `_replace` builds through the constructor, and so does `copy.replace`,
+    # which calls it.
+    (lambda: VariableDecl("x", ("a", "b"), (0,))._replace(keys=("a", "a")),
+     "variable 'x' repeats key 'a'"),
+    (lambda: PermissionDeclaration("P", "normal")._replace(level="medium"),
+     "unknown protection level 'medium'"),
+    (lambda: AppSpec("m")._replace(requests="CAMERA"),
+     "app 'm': requests must be a tuple of names, not the string 'CAMERA'"),
+    (lambda: ScenarioDef("aps_cs1", 2, (), ("ApsTypeOK",))._replace(max_states=0),
+     "max_states must be at least 1"),
+    pytest.param(lambda: copy.replace(ScenarioDef("aps_cs1", 2, (), ("ApsTypeOK",)),
+                                      max_states=0),
+                 "max_states must be at least 1",
+                 marks=pytest.mark.skipif(not hasattr(copy, "replace"),
+                                          reason="copy.replace is new in Python 3.13")),
 ], ids=["repeated key", "repeated key not first", "repeated value", "257 values",
         "empty permission name", "unknown level", "duplicate declaration",
-        "duplicate declaration not first", "requests as a string"])
+        "duplicate declaration not first", "requests as a string",
+        "_replace VariableDecl", "_replace PermissionDeclaration", "_replace AppSpec",
+        "_replace ScenarioDef", "copy.replace ScenarioDef"])
 def test_construction_rules_keep_their_messages(build, message):
     with pytest.raises(ConfigurationError) as exc:
         build()

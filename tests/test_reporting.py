@@ -110,6 +110,16 @@ REPLAYS = {
     "action on the initial step": (
         "custom", lambda doc: doc["trace"][0].update(action="Install"),
         ReplayResult(False, 1, "initial step carries an action")),
+    # Two defects: the first divergent step is named, not the undecodable one.
+    "unknown action before an undecodable state": (
+        "custom", lambda doc: (doc["trace"][1].update(action="Nope"),
+                               doc["trace"][3]["state"]["installed"].update(ghost=1)),
+        ReplayResult(False, 2, "action 'Nope' with params {'a': 'malware'} is not "
+                               "enabled here")),
+    "non-initial first state before an undecodable state": (
+        "custom", lambda doc: (doc["trace"][0]["state"]["installed"].update(malware=1),
+                               doc["trace"][3]["state"]["installed"].update(ghost=1)),
+        ReplayResult(False, 1, "first state is not an initial state")),
 }
 
 # id -> (the document replayed, made from the cs1 violation report's parsed

@@ -415,17 +415,19 @@ class TestDirectDefinitions:
         (lambda d: ScenarioDef(d.model_name, d.apps, d.app_specs, d.check_list,
                                d.max_states), 1),
         (lambda d: ScenarioDef(**{name: getattr(d, name)
-                                  for name in ScenarioDef.__slots__}), 1),
+                                  for name in ScenarioDef._fields}), 1),
         (lambda d: parse_scenario(render_scenario(d)), 1),
         (lambda d: pickle.loads(pickle.dumps(d)), 1),
         (copy.copy, 1),
         (copy.deepcopy, 1),
+        (lambda d: d._replace(max_states=5), 1),
         (render_scenario, 0),
         (build_system, 0),
         (lambda d: check(build_system(d), CheckOptions(max_states=d.max_states)), 0),
         (validate_semantics, 0),
     ], ids=["constructor", "keyword constructor", "parse", "pickle", "copy",
-            "deepcopy", "render", "build_system", "check", "validate_semantics"])
+            "deepcopy", "_replace", "render", "build_system", "check",
+            "validate_semantics"])
     def test_only_making_a_definition_validates_it(self, monkeypatch, operation, calls):
         definition = parse_scenario("model custom_permissions\n"
                                     "app m { declare P level normal request P }\n")
